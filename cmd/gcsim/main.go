@@ -64,7 +64,6 @@ import (
 	"gcsim/internal/cliutil"
 	"gcsim/internal/core"
 	"gcsim/internal/gc"
-	"gcsim/internal/mem"
 	"gcsim/internal/report"
 	"gcsim/internal/scheme"
 	"gcsim/internal/server"
@@ -443,28 +442,13 @@ func runFile(ctx context.Context, out io.Writer, path string, col gc.Collector, 
 	if err != nil {
 		return err
 	}
-	var (
-		tracer mem.Tracer
-		bank   *cache.Bank
-		par    *cache.ParallelBank
-	)
-	if core.Parallelism() > 1 && len(cfgs) > 1 {
-		par = cache.NewParallelBank(cfgs)
-		tracer = par
-	} else {
-		fused := cache.NewFusedBank(cfgs)
-		tracer = fused
-		bank = fused.Bank()
-	}
-	m := vm.NewLoaded(tracer, col)
+	bank := core.NewSweepBank(cfgs)
+	m := vm.NewLoaded(bank, col)
 	m.VerifyHeap = core.VerifyHeapEnabled()
 	stop := context.AfterFunc(ctx, m.Interrupt)
 	defer stop()
 	v, err := m.Eval(string(src))
-	if par != nil {
-		par.Drain()
-		bank = par.Bank()
-	}
+	bank.Drain()
 	if err != nil {
 		if errors.Is(err, vm.ErrInterrupted) && ctx.Err() != nil {
 			err = fmt.Errorf("%w: %w", ctx.Err(), err)

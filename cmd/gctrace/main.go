@@ -12,8 +12,8 @@
 // Replay accepts comma-separated -cache and -block lists; the cross
 // product is simulated in one pass. Multi-configuration replays of v2
 // traces take the fused path — each frame is decoded exactly once and
-// fanned out to every configuration — and report the per-stage
-// decode/simulate/merge breakdown.
+// fanned out to every configuration, simulated on -parallel workers — and
+// report the per-stage decode/simulate/merge breakdown.
 //
 // Usage:
 //
@@ -59,7 +59,7 @@ func main() {
 	cacheSize := flag.String("cache", "64k", "replay cache sizes, comma-separated (none = null consumer, measures delivery rate)")
 	blockSize := flag.String("block", "64", "replay block sizes, comma-separated")
 	policy := flag.String("policy", "write-validate", "replay write-miss policy: write-validate or fetch-on-write")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "replay frame-decoder goroutines (1 = inline)")
+	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "replay frame-decoder goroutines and multi-config cache workers (1 = inline)")
 	timeout := flag.Duration("timeout", 0, "abort after this duration (0 = no limit)")
 	flag.Parse()
 
@@ -211,9 +211,11 @@ func replay(ctx context.Context, path, cacheSize, blockSize, policy string, para
 }
 
 // replaySweep replays one trace into several cache configurations in a
-// single pass. v2 traces take the fused path: each frame is decoded
-// exactly once and fanned out to every configuration's tag state. Legacy
-// v1 traces (no frame stamps) fall back to a serial bank replay.
+// single pass through the fused bank, its lanes sharded over the same
+// -parallel worker count as the frame decoders. v2 traces take the fused
+// path: each frame is decoded exactly once and fanned out to every
+// configuration. Legacy v1 traces (no frame stamps) are replayed
+// reference by reference into the same bank.
 func replaySweep(ctx context.Context, path string, cfgs []cache.Config, parallel int) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -225,25 +227,21 @@ func replaySweep(ctx context.Context, path string, cfgs []cache.Config, parallel
 		return err
 	}
 
-	fused := cache.NewFusedBank(cfgs)
+	bank := cache.NewFusedBankWorkers(cfgs, parallel)
+	defer bank.Drain()
 	sr, serr := traceio.NewSharedReplayer(r)
 	var (
 		n       uint64
 		version int
-		dur     time.Duration
 	)
+	start := time.Now()
 	if serr == nil {
 		sr.SetDecoders(parallel)
-		start := time.Now()
-		n, err = sr.Run(ctx, fused)
-		if err != nil {
-			return err
-		}
-		dur = time.Since(start)
+		n, err = sr.Run(ctx, bank)
 		version = 2
 	} else {
 		// The shared replayer consumed the header probing the version;
-		// reopen and feed the bank view serially.
+		// reopen and feed the bank reference by reference.
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
 			return err
 		}
@@ -251,33 +249,33 @@ func replaySweep(ctx context.Context, path string, cfgs []cache.Config, parallel
 		if err != nil {
 			return err
 		}
-		rp, err := traceio.NewReplayer(r)
-		if err != nil {
-			return err
+		rp, rerr := traceio.NewReplayer(r)
+		if rerr != nil {
+			return rerr
 		}
 		rp.SetDecoders(parallel)
-		start := time.Now()
-		n, err = rp.Run(ctx, fused.Bank())
-		if err != nil {
-			return err
-		}
-		dur = time.Since(start)
+		n, err = rp.Run(ctx, bank)
 		version = rp.Version()
+	}
+	bank.Drain()
+	dur := time.Since(start)
+	if err != nil {
+		return err
 	}
 
 	pathName := "fused single pass"
 	if serr != nil {
-		pathName = "serial bank fallback"
+		pathName = "fused bank, per-reference replay"
 	}
 	fmt.Printf("replayed %d references into %d configurations (trace format v%d, %s)\n",
 		n, len(cfgs), version, pathName)
 	fmt.Printf("throughput: %.1fM refs/s delivered, %.1fM cache accesses/s (%.2fs host time)\n",
 		refsPerSec(n, dur)/1e6, refsPerSec(n*uint64(len(cfgs)), dur)/1e6, dur.Seconds())
 	if serr == nil {
-		fmt.Printf("stages: decode=%.3fs simulate=%.3fs merge=%.3fs frames=%d\n",
-			sr.DecodeSeconds(), fused.SimulateSeconds(), fused.MergeSeconds(), sr.Frames())
+		fmt.Printf("stages: decode=%.3fs simulate=%.3fs merge=%.3fs frames=%d workers=%d\n",
+			sr.DecodeSeconds(), bank.SimulateSeconds(), bank.MergeSeconds(), sr.Frames(), bank.Workers())
 	}
-	for _, c := range fused.Caches {
+	for _, c := range bank.Caches {
 		fmt.Printf("%-24v misses: %d penalized, %d allocation claims, miss ratio %.5f, collector misses %d\n",
 			c.Config(), c.S.Misses(), c.S.WriteAllocs, c.S.MissRatio(), c.S.GCMisses())
 	}

@@ -54,9 +54,9 @@ type (
 	CacheConfig = cache.Config
 	// CacheBank simulates many configurations in one pass.
 	CacheBank = cache.Bank
-	// ParallelCacheBank simulates many configurations in one pass with
-	// one worker goroutine per cache; call Drain before reading stats.
-	ParallelCacheBank = cache.ParallelBank
+	// ParallelCacheBank simulates many configurations in one fused pass,
+	// sharded over worker goroutines; call Drain before reading stats.
+	ParallelCacheBank = cache.FusedBank
 	// Ref is one packed data reference of the batch pipeline.
 	Ref = mem.Ref
 	// BatchTracer observes references a sealed chunk at a time.
@@ -130,15 +130,16 @@ func NewCache(cfg CacheConfig) *Cache { return cache.New(cfg) }
 // NewCacheBank builds one cache per configuration, fed in lockstep.
 func NewCacheBank(cfgs []CacheConfig) *CacheBank { return cache.NewBank(cfgs) }
 
-// NewParallelCacheBank builds one cache per configuration, each simulated
-// on its own goroutine over the same chunked reference stream. Statistics
-// are bitwise identical to NewCacheBank's; call Drain before reading them.
+// NewParallelCacheBank builds one cache per configuration, sharded over
+// up to Parallelism() worker goroutines that consume the same chunked
+// reference stream. Statistics are bitwise identical to NewCacheBank's;
+// call Drain before reading them.
 func NewParallelCacheBank(cfgs []CacheConfig) *ParallelCacheBank {
-	return cache.NewParallelBank(cfgs)
+	return core.NewSweepBank(cfgs)
 }
 
-// SetParallelism bounds concurrent experiment runs and toggles the
-// parallel cache bank inside sweeps (default GOMAXPROCS; 1 = serial).
+// SetParallelism bounds concurrent experiment runs and the worker count
+// of the cache bank inside sweeps (default GOMAXPROCS; 1 = inline).
 func SetParallelism(n int) { core.SetParallelism(n) }
 
 // Parallelism returns the current experiment-parallelism bound.

@@ -1,25 +1,29 @@
-// The fused cache bank: one decoded chunk of the reference stream is
-// simulated against every direct-mapped configuration of a sweep in a
-// single pass, with no per-reference interface calls and no per-config
-// channel hops. Each configuration's tag state lives in a struct-of-arrays
-// lane — a flat []uint64 tag array plus packed valid/dirty bitsets, one
-// arena per config (the same arrays the Cache owns, aliased, so the fused
-// and unfused paths share state and statistics) — and the hot loop keeps
-// every miss counter in registers, merging into the cache's Stats once per
-// chunk. Reference-kind totals (reads/writes, program/collector) depend
-// only on the chunk itself, so they are histogrammed once per chunk and
-// added to every lane instead of being branched on per reference per
-// config.
+// The fused cache bank: one chunk of the reference stream is simulated
+// against every direct-mapped configuration of a sweep in a single pass,
+// with no per-reference interface calls and no per-config channel hops.
+// Each configuration's tag state lives in a struct-of-arrays lane — a flat
+// []uint64 tag array plus packed valid/dirty bitsets, one arena per config
+// (the same arrays the Cache owns, aliased, so the fused and unfused paths
+// share state and statistics) — and the hot loop keeps every miss counter
+// in registers, merging into the cache's Stats once per chunk.
+// Reference-kind totals (reads/writes, program/collector) depend only on
+// the chunk itself, so they are histogrammed once per chunk and added to
+// every lane instead of being branched on per reference per config.
+//
+// The bank is the one direct-mapped engine for live and replayed sweeps.
+// Its worker count decides only where the lanes run: inline on the
+// caller's goroutine, or sharded across core-scaled worker goroutines.
 //
 // Determinism: each lane consumes the chunk stream sequentially, in
 // order, exactly as the serial Bank's per-cache loop does, and the
 // per-chunk merge lands before any chunk-boundary snapshot is taken — so
 // final statistics and periodic snapshots are bitwise identical to the
-// serial Bank's no matter which path (serial bank, fused bank, sharded
-// parallel bank) simulated the sweep.
+// serial Bank's at every worker count.
 package cache
 
 import (
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"gcsim/internal/mem"
@@ -209,92 +213,250 @@ func (ln *fusedLane) merge(k *[4]uint64) {
 	s.GCWritebacks += ln.gcwb
 }
 
-// FusedBank simulates a whole sweep against one reference stream with the
-// fused single-pass loop. It is a drop-in replacement for Bank on
-// direct-mapped sweeps: install as the Memory's tracer for live runs
-// (RefBatch), or feed it decoded trace chunks with their clock stamps
-// (ChunkBatch, the traceio.ChunkSink contract) for replayed ones. Stats
-// and snapshots are bitwise identical to Bank's either way.
-type FusedBank struct {
-	Caches []*Cache
-	lanes  []fusedLane
+// parallelRing is the number of in-flight chunks on a sharded bank. Deep
+// enough to absorb skew between fast (small-cache) and slow (large-cache)
+// workers, shallow enough that the working set of chunks stays
+// cache-resident.
+const parallelRing = 8
 
-	// clock, when set, stamps chunk-boundary snapshots on the live path
-	// (the replay path carries each frame's recorded stamp instead).
-	clock func() uint64
-
-	simNs   int64 // time in the fused simulate loops
-	mergeNs int64 // time in stat merges and snapshot checks
+// parChunk is one sealed, shared chunk of the reference stream on a
+// sharded bank.
+type parChunk struct {
+	refs    []mem.Ref
+	kinds   [4]uint64    // reference-kind histogram (see refKinds)
+	insnsAt uint64       // snapshot stamp (0 = take no snapshot)
+	pending atomic.Int32 // workers that have not finished this chunk yet
 }
 
-// NewFusedBank builds a fused bank with one lane per configuration. It
-// panics on an invalid configuration, like New.
-func NewFusedBank(cfgs []Config) *FusedBank {
-	b := &FusedBank{Caches: make([]*Cache, len(cfgs))}
+// FusedBank simulates a whole direct-mapped sweep against one reference
+// stream with the fused single-pass loop. Install it as the Memory's
+// tracer for live runs (RefBatch), or feed it decoded trace chunks with
+// their clock stamps (ChunkBatch, the traceio.ChunkSink contract) for
+// replayed ones. Stats and snapshots are bitwise identical to Bank's
+// either way, at any worker count.
+//
+// With one worker the bank simulates inline on the caller's goroutine.
+// With n > 1 it deals the configurations round-robin over n worker
+// goroutines (neighbouring sizes, whose simulation state competes for the
+// same host cache levels, land on different workers); the caller publishes
+// each chunk once into a small ring of sealed chunks, every worker
+// simulates every chunk in publication order against its shard, and the
+// last worker to finish a chunk returns it to the ring. The producer
+// blocks when the ring is exhausted, bounding memory and applying back
+// pressure to the VM or decoder.
+//
+// A bank is single-producer and single-shot: one goroutine feeds it, and
+// Drain is the final barrier before any cache's Stats are read (a no-op
+// when inline). Publishing after Drain panics.
+type FusedBank struct {
+	Caches []*Cache
+	shards [][]fusedLane // one shard of lanes per worker
+
+	// clock, when set, stamps live chunks for periodic snapshots. The
+	// stamp is read on the producer goroutine while the VM is blocked in
+	// RefBatch, so it equals what a serial bank's post-chunk clock read
+	// returns (the replay path carries each frame's recorded stamp
+	// instead).
+	clock func() uint64
+
+	// Sharded mode only (nil when inline).
+	workers  []chan *parChunk
+	free     chan *parChunk
+	wg       sync.WaitGroup
+	staged   []mem.Ref // buffer for the per-ref Tracer interface
+	drained  bool
+	panicked atomic.Pointer[workerPanic]
+
+	// Time in the simulate loops and in stat merges plus snapshot checks,
+	// summed over workers.
+	simNs, mergeNs atomic.Int64
+}
+
+// workerPanic carries a worker goroutine's panic to Drain.
+type workerPanic struct{ value any }
+
+// NewFusedBank builds an inline (one-worker) fused bank with one lane per
+// configuration. It panics on an invalid configuration, like New.
+func NewFusedBank(cfgs []Config) *FusedBank { return NewFusedBankWorkers(cfgs, 1) }
+
+// NewParallelBankWorkers is NewFusedBankWorkers under its former name,
+// kept for callers outside this module.
+func NewParallelBankWorkers(cfgs []Config, n int) *FusedBank { return NewFusedBankWorkers(cfgs, n) }
+
+// NewFusedBankWorkers builds a fused bank whose lanes are sharded over
+// min(n, len(cfgs)) workers (at least one); one worker simulates inline.
+// Worker goroutines idle on empty channels until references arrive and
+// exit at Drain.
+func NewFusedBankWorkers(cfgs []Config, n int) *FusedBank {
+	n = max(1, min(n, len(cfgs)))
+	b := &FusedBank{Caches: make([]*Cache, len(cfgs)), shards: make([][]fusedLane, n)}
 	for i, cfg := range cfgs {
 		b.Caches[i] = New(cfg)
+		b.shards[i%n] = append(b.shards[i%n], newFusedLane(b.Caches[i]))
 	}
-	b.lanes = make([]fusedLane, len(cfgs))
-	for i, c := range b.Caches {
-		b.lanes[i] = newFusedLane(c)
+	if n == 1 {
+		return b
+	}
+	b.free = make(chan *parChunk, parallelRing)
+	for i := 0; i < parallelRing; i++ {
+		b.free <- &parChunk{refs: make([]mem.Ref, 0, mem.ChunkRefs)}
+	}
+	for _, lanes := range b.shards {
+		ch := make(chan *parChunk, parallelRing)
+		b.workers = append(b.workers, ch)
+		b.wg.Add(1)
+		go b.work(lanes, ch)
 	}
 	return b
 }
 
-// RefBatch implements mem.BatchTracer: the live path, clocked by the
+// RefBatch implements mem.BatchTracer: the live path, stamped by the
 // bank's snapshot clock (the machine's instruction counter).
 func (b *FusedBank) RefBatch(refs []mem.Ref) {
 	var clockAt uint64
 	if b.clock != nil {
 		clockAt = b.clock()
 	}
-	b.chunk(refs, clockAt, b.clock != nil)
+	b.chunk(refs, clockAt)
 }
 
 // ChunkBatch consumes one decoded trace chunk stamped with the recorded
-// instruction clock — the replay path (traceio.ChunkSink).
-func (b *FusedBank) ChunkBatch(refs []mem.Ref, insnsAt uint64) {
-	b.chunk(refs, insnsAt, insnsAt != 0)
-}
+// instruction clock — the replay path (traceio.ChunkSink). A zero stamp
+// takes no snapshot.
+func (b *FusedBank) ChunkBatch(refs []mem.Ref, insnsAt uint64) { b.chunk(refs, insnsAt) }
 
-// chunk runs one chunk through every lane, then merges and samples. The
-// simulate pass and the merge pass are timed separately so replay sweeps
-// can report a decode/simulate/merge breakdown.
-func (b *FusedBank) chunk(refs []mem.Ref, clockAt uint64, stamped bool) {
-	if len(b.lanes) == 0 || len(refs) == 0 {
+// chunk runs one chunk through every lane, inline or by publishing it to
+// the workers. A chunk longer than a ring buffer is published in pieces;
+// only the last carries the stamp, so snapshots see the whole chunk
+// exactly as they do inline.
+func (b *FusedBank) chunk(refs []mem.Ref, stamp uint64) {
+	if len(b.Caches) == 0 || len(refs) == 0 {
 		return
 	}
-	kinds := refKinds(refs)
+	if b.workers == nil {
+		kinds := refKinds(refs)
+		b.simulateShard(b.shards[0], refs, &kinds, stamp)
+		return
+	}
+	for len(refs) > 0 {
+		n := min(len(refs), mem.ChunkRefs)
+		ck := <-b.free
+		ck.refs = append(ck.refs[:0], refs[:n]...)
+		ck.kinds = refKinds(ck.refs)
+		ck.insnsAt = 0
+		if n == len(refs) {
+			ck.insnsAt = stamp
+		}
+		ck.pending.Store(int32(len(b.workers)))
+		for _, ch := range b.workers {
+			ch <- ck
+		}
+		refs = refs[n:]
+	}
+}
+
+// simulateShard runs one chunk through a shard of lanes, then merges each
+// lane's counters and samples stamped snapshots: the per-chunk sequence
+// of the serial Bank. The simulate pass and the merge pass are timed
+// separately so sweeps can report a simulate/merge breakdown.
+func (b *FusedBank) simulateShard(lanes []fusedLane, refs []mem.Ref, kinds *[4]uint64, stamp uint64) {
 	t0 := time.Now()
-	for i := range b.lanes {
-		b.lanes[i].run(refs)
+	for i := range lanes {
+		lanes[i].run(refs)
 	}
 	t1 := time.Now()
-	for i := range b.lanes {
-		ln := &b.lanes[i]
-		ln.merge(&kinds)
-		if stamped && ln.c.snapInterval != 0 {
-			ln.c.MaybeSnapshot(clockAt)
+	for i := range lanes {
+		ln := &lanes[i]
+		ln.merge(kinds)
+		if stamp != 0 && ln.c.snapInterval != 0 {
+			ln.c.MaybeSnapshot(stamp)
 		}
 	}
-	b.simNs += int64(t1.Sub(t0))
-	b.mergeNs += int64(time.Since(t1))
+	b.simNs.Add(int64(t1.Sub(t0)))
+	b.mergeNs.Add(int64(time.Since(t1)))
 }
 
-// Ref implements mem.Tracer for per-reference producers (e.g. legacy v1
-// trace replay); it behaves exactly like Bank.Ref.
-func (b *FusedBank) Ref(addr uint64, write, collector bool) {
-	for _, c := range b.Caches {
-		c.Access(addr, write, collector)
+// work simulates every published chunk against one shard, recycling each
+// chunk once every worker has finished with it. A panic in a lane is
+// handed to Drain, and the worker keeps consuming so the producer never
+// blocks on it.
+func (b *FusedBank) work(lanes []fusedLane, ch chan *parChunk) {
+	defer b.wg.Done()
+	for ck := range ch {
+		b.workChunk(lanes, ck)
+		if ck.pending.Add(-1) == 0 {
+			b.free <- ck
+		}
 	}
 }
 
-// SetSnapshotClock installs the instruction clock consulted once per
-// live chunk for periodic snapshots (see Cache.EnableSnapshots).
+func (b *FusedBank) workChunk(lanes []fusedLane, ck *parChunk) {
+	if b.panicked.Load() != nil {
+		return
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			b.panicked.CompareAndSwap(nil, &workerPanic{r})
+		}
+	}()
+	b.simulateShard(lanes, ck.refs, &ck.kinds, ck.insnsAt)
+}
+
+// Ref implements mem.Tracer for per-reference producers; it behaves
+// exactly like Bank.Ref. A sharded bank stages the references into
+// chunks (Memory prefers RefBatch).
+func (b *FusedBank) Ref(addr uint64, write, collector bool) {
+	if b.workers == nil {
+		for _, c := range b.Caches {
+			c.Access(addr, write, collector)
+		}
+		return
+	}
+	if b.staged == nil {
+		b.staged = make([]mem.Ref, 0, mem.ChunkRefs)
+	}
+	b.staged = append(b.staged, mem.MakeRef(addr, write, collector))
+	if len(b.staged) == cap(b.staged) {
+		b.RefBatch(b.staged)
+		b.staged = b.staged[:0]
+	}
+}
+
+// Drain is the final barrier: it publishes any staged refs, waits for
+// every worker to finish every chunk, and stops the workers. After Drain
+// returns, the caches' Stats are complete and safe to read from any
+// goroutine. If a worker panicked, Drain re-panics with its value on the
+// caller's goroutine. Drain is idempotent and a no-op when inline.
+func (b *FusedBank) Drain() {
+	if b.workers == nil || b.drained {
+		return
+	}
+	b.drained = true
+	if len(b.staged) > 0 {
+		b.RefBatch(b.staged)
+		b.staged = b.staged[:0]
+	}
+	for _, ch := range b.workers {
+		close(ch)
+	}
+	b.wg.Wait()
+	if p := b.panicked.Load(); p != nil {
+		panic(p.value)
+	}
+}
+
+// SetSnapshotClock installs the instruction clock read once per live
+// chunk for periodic snapshots (see Cache.EnableSnapshots). Must be set
+// before the first reference is published.
 func (b *FusedBank) SetSnapshotClock(clock func() uint64) { b.clock = clock }
 
+// Workers returns the number of goroutines simulating the bank's lanes
+// (1 when inline).
+func (b *FusedBank) Workers() int { return len(b.shards) }
+
 // Bank returns a serial-bank view sharing this bank's caches, for code
-// that consumes *Bank results.
+// that consumes *Bank results. On a sharded bank it is valid only after
+// Drain.
 func (b *FusedBank) Bank() *Bank { return &Bank{Caches: b.Caches} }
 
 // Find returns the bank's cache with the given configuration, or nil.
@@ -309,13 +471,13 @@ func (b *FusedBank) Find(cfg Config) *Cache {
 
 // SimulateSeconds returns the cumulative wall time spent in the fused
 // simulate loops, and MergeSeconds the time in per-chunk stat merges and
-// snapshot checks. On a sharded parallel bank the per-worker times are
-// summed, so either can exceed the elapsed wall clock.
-func (b *FusedBank) SimulateSeconds() float64 { return float64(b.simNs) / 1e9 }
+// snapshot checks. Both are summed over workers, so on a sharded bank
+// either can exceed the elapsed wall clock. Read them after Drain.
+func (b *FusedBank) SimulateSeconds() float64 { return float64(b.simNs.Load()) / 1e9 }
 
 // MergeSeconds returns the cumulative wall time spent merging per-chunk
 // counters into cache Stats (see SimulateSeconds).
-func (b *FusedBank) MergeSeconds() float64 { return float64(b.mergeNs) / 1e9 }
+func (b *FusedBank) MergeSeconds() float64 { return float64(b.mergeNs.Load()) / 1e9 }
 
 var _ mem.Tracer = (*FusedBank)(nil)
 var _ mem.BatchTracer = (*FusedBank)(nil)

@@ -110,8 +110,8 @@ func TestFusedBankSnapshotsMatchSerial(t *testing.T) {
 }
 
 // TestFusedBankChunkBatchStamps feeds pre-stamped chunks (the replay path)
-// and checks snapshots land exactly where a stamped parallel-bank worker
-// would put them.
+// and checks snapshots land exactly where the serial bank's clock puts
+// them.
 func TestFusedBankChunkBatchStamps(t *testing.T) {
 	stream := synthStream(200_000)
 	cfgs := benchConfigs()

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 
 	"gcsim/internal/mem"
@@ -77,7 +78,7 @@ func TestParallelBankMatchesSerialBank(t *testing.T) {
 	serial := NewBank(cfgs)
 	feedChunks(serial, stream)
 
-	par := NewParallelBank(cfgs)
+	par := NewFusedBankWorkers(cfgs, 3)
 	feedChunks(par, stream)
 	par.Drain()
 
@@ -101,7 +102,7 @@ func TestParallelBankWorkerSharding(t *testing.T) {
 	feedChunks(serial, stream)
 
 	for _, n := range []int{1, 2, 3, len(cfgs), len(cfgs) + 5} {
-		par := NewParallelBankWorkers(cfgs, n)
+		par := NewFusedBankWorkers(cfgs, n)
 		if want := min(n, len(cfgs)); par.Workers() != want {
 			t.Fatalf("workers=%d: pool has %d workers, want %d", n, par.Workers(), want)
 		}
@@ -125,7 +126,7 @@ func TestParallelBankPerRefTracer(t *testing.T) {
 		serial.Ref(r.Addr(), r.Write(), r.Collector())
 	}
 
-	par := NewParallelBank(cfgs)
+	par := NewFusedBankWorkers(cfgs, 3)
 	for _, r := range stream {
 		par.Ref(r.Addr(), r.Write(), r.Collector())
 	}
@@ -151,7 +152,7 @@ func TestParallelBankMissEventsMatchSerial(t *testing.T) {
 	}
 	feedChunks(serial, stream)
 
-	par := NewParallelBank(cfgs)
+	par := NewFusedBankWorkers(cfgs, 3)
 	parEvents := make([][]MissEvent, len(cfgs))
 	for i, c := range par.Caches {
 		i := i
@@ -180,7 +181,7 @@ func TestParallelBankMissEventsMatchSerial(t *testing.T) {
 }
 
 func TestParallelBankDrainIdempotentAndEmpty(t *testing.T) {
-	par := NewParallelBank(benchConfigs())
+	par := NewFusedBankWorkers(benchConfigs(), 3)
 	par.Drain()
 	par.Drain()
 	for _, c := range par.Caches {
@@ -189,9 +190,113 @@ func TestParallelBankDrainIdempotentAndEmpty(t *testing.T) {
 		}
 	}
 	// A bank with no caches must not deadlock or leak chunks.
-	empty := NewParallelBank(nil)
+	empty := NewFusedBankWorkers(nil, 3)
 	empty.RefBatch(synthStream(10))
 	empty.Drain()
+}
+
+// TestShardedChunkBatchMatchesInline is the replay-path equivalence check
+// for the sharded bank: stamped chunks (including stamp-0 chunks, which
+// take no snapshot, and an oversized chunk the bank must publish in
+// pieces) give identical stats, snapshots and miss events on a one-worker
+// and a three-worker bank, with one lane instrumented.
+func TestShardedChunkBatchMatchesInline(t *testing.T) {
+	stream := synthStream(72 * mem.ChunkRefs)
+	cfgs := append(benchConfigs(), SweepConfigs(FetchOnWrite)[:3]...)
+
+	// Chunk i carries 2 instructions per reference, so every chunk
+	// crosses a sampling threshold of one full chunk: a stamp-0 chunk
+	// would sample if it were allowed to. Chunk 7 is three chunks long.
+	chunkLen := func(i int) int {
+		if i == 7 {
+			return 3 * mem.ChunkRefs
+		}
+		return mem.ChunkRefs
+	}
+	zeroStamp := func(i int) bool { return i%5 == 3 }
+
+	type result struct {
+		bank   *FusedBank
+		events []MissEvent
+	}
+	run := func(workers int) *result {
+		r := &result{bank: NewFusedBankWorkers(cfgs, workers)}
+		for _, c := range r.bank.Caches {
+			c.EnableSnapshots(2 * mem.ChunkRefs)
+		}
+		// The hook runs on the lane's worker goroutine; the slice is
+		// touched by no one else until Drain.
+		r.bank.Caches[2].OnMiss(func(e MissEvent) { r.events = append(r.events, e) })
+		var insns uint64
+		refs := stream
+		for i := 0; len(refs) > 0; i++ {
+			n := chunkLen(i)
+			insns += uint64(2 * n)
+			stamp := insns
+			if zeroStamp(i) {
+				stamp = 0
+			}
+			r.bank.ChunkBatch(refs[:n], stamp)
+			refs = refs[n:]
+		}
+		r.bank.Drain()
+		return r
+	}
+	inline, sharded := run(1), run(3)
+	if sharded.bank.Workers() != 3 {
+		t.Fatalf("sharded bank has %d workers, want 3", sharded.bank.Workers())
+	}
+	if sharded.bank.SimulateSeconds() <= 0 {
+		t.Error("sharded bank reported no simulate time")
+	}
+
+	stamped := 0
+	for i, left := 0, len(stream); left > 0; i++ {
+		if !zeroStamp(i) {
+			stamped++
+		}
+		left -= chunkLen(i)
+	}
+	for i, ic := range inline.bank.Caches {
+		sc := sharded.bank.Caches[i]
+		if ic.S != sc.S {
+			t.Errorf("config %v: inline %+v != sharded %+v", ic.Config(), ic.S, sc.S)
+		}
+		is, ss := ic.Snapshots(), sc.Snapshots()
+		if len(is) != stamped || len(ss) != stamped {
+			t.Fatalf("config %v: %d inline and %d sharded snapshots, want one per stamped chunk (%d)",
+				ic.Config(), len(is), len(ss), stamped)
+		}
+		for j := range is {
+			if is[j] != ss[j] {
+				t.Fatalf("config %v snapshot %d: inline %+v != sharded %+v", ic.Config(), j, is[j], ss[j])
+			}
+		}
+	}
+	if len(inline.events) == 0 || len(inline.events) != len(sharded.events) {
+		t.Fatalf("%d inline miss events vs %d sharded", len(inline.events), len(sharded.events))
+	}
+	for i := range inline.events {
+		if inline.events[i] != sharded.events[i] {
+			t.Fatalf("event %d: inline %+v != sharded %+v", i, inline.events[i], sharded.events[i])
+		}
+	}
+}
+
+// TestShardedWorkerPanicReachesDrain: a panic inside a worker's lane must
+// neither crash the process nor stall the producer; Drain re-raises it on
+// the caller's goroutine, where the sweep's panic isolation can catch it.
+func TestShardedWorkerPanicReachesDrain(t *testing.T) {
+	bank := NewFusedBankWorkers(benchConfigs(), 2)
+	bank.Caches[1].OnMiss(func(MissEvent) { panic("lane fault") })
+	feedChunks(bank, synthStream(20*mem.ChunkRefs)) // far more chunks than the ring holds
+	defer func() {
+		if r := recover(); r != "lane fault" {
+			t.Fatalf("Drain recovered %v, want the worker's panic", r)
+		}
+	}()
+	bank.Drain()
+	t.Fatal("Drain returned without re-raising the worker panic")
 }
 
 func TestAccessBatchMatchesAccess(t *testing.T) {
@@ -237,8 +342,8 @@ func BenchmarkSerialBank(b *testing.B) {
 
 func BenchmarkParallelBank(b *testing.B) {
 	benchBank(b, func() interface{ mem.BatchTracer } {
-		return NewParallelBank(benchConfigs())
-	}, func(t mem.BatchTracer) { t.(*ParallelBank).Drain() })
+		return NewFusedBankWorkers(benchConfigs(), runtime.GOMAXPROCS(0))
+	}, func(t mem.BatchTracer) { t.(*FusedBank).Drain() })
 }
 
 // BenchmarkSerialBankPerRef is the pre-pipeline baseline: one interface

@@ -5,9 +5,9 @@
 // Sampling happens only at chunk boundaries of the batch reference
 // pipeline — never on the per-reference hot path. The clock is the VM's
 // program-instruction counter, read on the VM goroutine: the serial paths
-// read it directly after replaying a chunk, and the parallel bank stamps
+// read it directly after replaying a chunk, and the fused bank stamps
 // each chunk with the clock at publication time, so a cache records
-// identical snapshots whether it is simulated serially or on a worker
+// identical snapshots whether it is simulated inline or on a worker
 // goroutine (the VM is blocked during publication, so the stamp equals
 // what the serial path would read).
 package cache
@@ -24,7 +24,7 @@ type Snapshot struct {
 
 // EnableSnapshots turns on periodic sampling every intervalInsns simulated
 // program instructions (0 disables). Serial users must also install a
-// clock with SetSnapshotClock; the parallel bank stamps chunks itself.
+// clock with SetSnapshotClock; the fused bank stamps chunks itself.
 func (c *Cache) EnableSnapshots(intervalInsns uint64) {
 	c.snapInterval = intervalInsns
 	c.snapNext = intervalInsns
@@ -37,7 +37,7 @@ func (c *Cache) EnableSnapshots(intervalInsns uint64) {
 func (c *Cache) SetSnapshotClock(clock func() uint64) { c.snapClock = clock }
 
 // Snapshots returns the samples recorded so far, oldest first. For a cache
-// inside a ParallelBank, call Drain first.
+// inside a sharded FusedBank, call Drain first.
 func (c *Cache) Snapshots() []Snapshot { return c.snaps }
 
 // SnapshotOverhead returns the wall-clock time this cache has spent

@@ -3,23 +3,19 @@ package core
 import "sync/atomic"
 
 // Process-wide fused-replay counters, exported by gcsimd's /metrics next
-// to the trace-cache hit rate: together they show how many sweeps took
-// the decode-once fused path versus a fallback, and how many frame
-// decodes were shared across a whole sweep's configurations.
+// to the trace-cache hit rate: together they show how many sweeps were
+// replayed and how many frame decodes were shared across a whole sweep's
+// configurations.
 var (
-	fusedSweepCount    atomic.Uint64
-	fallbackSweepCount atomic.Uint64
-	decodeOnceFrames   atomic.Uint64
+	fusedSweepCount  atomic.Uint64
+	decodeOnceFrames atomic.Uint64
 )
 
-// FusedReplayStats counts this process's replayed sweeps by path.
+// FusedReplayStats counts this process's replayed sweeps.
 type FusedReplayStats struct {
 	// FusedSweeps is the number of replayed sweeps that decoded the trace
 	// once and fanned each chunk out to every configuration.
 	FusedSweeps uint64 `json:"fused_sweeps"`
-	// FallbackSweeps is the number of replayed sweeps that could not take
-	// the fused path (v1 traces, which carry no frame stamps).
-	FallbackSweeps uint64 `json:"fallback_sweeps"`
 	// DecodeOnceFrames is the total number of trace frames decoded on the
 	// fused path — each decoded exactly once for the whole sweep.
 	DecodeOnceFrames uint64 `json:"decode_once_frames"`
@@ -29,7 +25,6 @@ type FusedReplayStats struct {
 func FusedStats() FusedReplayStats {
 	return FusedReplayStats{
 		FusedSweeps:      fusedSweepCount.Load(),
-		FallbackSweeps:   fallbackSweepCount.Load(),
 		DecodeOnceFrames: decodeOnceFrames.Load(),
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+
+	"gcsim/internal/cache"
 )
 
 // The experiment-level worker pool. Experiments that perform several
@@ -21,8 +23,8 @@ var parallelism atomic.Int32
 func init() { parallelism.Store(int32(runtime.GOMAXPROCS(0))) }
 
 // SetParallelism bounds the number of concurrently executing runs and
-// enables (n > 1) or disables (n <= 1) the parallel cache bank inside
-// multi-configuration sweeps. CLIs plumb their -parallel flag here.
+// the worker count of the cache bank inside multi-configuration sweeps
+// (n <= 1 simulates inline). CLIs plumb their -parallel flag here.
 func SetParallelism(n int) {
 	if n < 1 {
 		n = 1
@@ -32,6 +34,14 @@ func SetParallelism(n int) {
 
 // Parallelism returns the current bound (default GOMAXPROCS).
 func Parallelism() int { return int(parallelism.Load()) }
+
+// NewSweepBank builds the cache engine for a direct-mapped sweep over
+// cfgs, live or replayed: a fused bank sharded over min(Parallelism(),
+// len(cfgs)) workers, simulating inline when that is one. Callers Drain
+// it before reading any cache's Stats.
+func NewSweepBank(cfgs []cache.Config) *cache.FusedBank {
+	return cache.NewFusedBankWorkers(cfgs, Parallelism())
+}
 
 // PanicError wraps a panic recovered from a worker, preserving the panic
 // value and the goroutine stack at the point of the panic.

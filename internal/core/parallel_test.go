@@ -22,7 +22,7 @@ func goldenConfigs() []cache.Config {
 
 // TestParallelBankGoldenEquivalence runs a real workload (with a real
 // collector, so collector-mode references flow through the pipeline too)
-// against the serial bank and the parallel bank, and requires bitwise
+// against the serial bank and a three-worker fused bank, and requires bitwise
 // identical Stats and identical MissEvent sequences for every cache.
 func TestParallelBankGoldenEquivalence(t *testing.T) {
 	w, err := workloads.ByName("tc")
@@ -46,7 +46,7 @@ func TestParallelBankGoldenEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	par := cache.NewParallelBank(cfgs)
+	par := cache.NewFusedBankWorkers(cfgs, 3)
 	parEvents := make([][]cache.MissEvent, len(cfgs))
 	for i, c := range par.Caches {
 		i := i

@@ -258,10 +258,10 @@ type SweepResult struct {
 // configuration, simulated by the fused single-pass kernel: each chunk of
 // the reference stream is simulated against every configuration with no
 // per-ref dispatch. With parallelism > 1 and more than one configuration,
-// the sweep uses the parallel cache bank — configurations sharded across
-// core-scaled workers consuming the same chunked reference stream — which
-// produces bitwise-identical statistics to the serial bank (each cache
-// still consumes the stream sequentially and in order).
+// the configurations are sharded across core-scaled workers consuming the
+// same chunked reference stream (NewSweepBank), which produces
+// bitwise-identical statistics (each cache still consumes the stream
+// sequentially and in order).
 func RunSweep(ctx context.Context, w *workloads.Workload, scale int, col gc.Collector, cfgs []cache.Config) (*SweepResult, error) {
 	return runSweepWith(ctx, ActiveTraceCache(), w, scale, col, cfgs)
 }
@@ -272,49 +272,22 @@ func runSweepWith(ctx context.Context, tc *TraceCache, w *workloads.Workload, sc
 	if tc != nil {
 		return tc.runSweep(ctx, w, scale, col, cfgs)
 	}
-	var (
-		bank   *cache.Bank
-		fused  *cache.FusedBank
-		tracer mem.Tracer
-		par    *cache.ParallelBank
-	)
-	if Parallelism() > 1 && len(cfgs) > 1 {
-		par = cache.NewParallelBank(cfgs)
-		tracer = par
-	} else {
-		fused = cache.NewFusedBank(cfgs)
-		tracer = fused
-		bank = fused.Bank()
-	}
-	spec := RunSpec{Workload: w, Scale: scale, Collector: col, Tracer: tracer}
+	fused := NewSweepBank(cfgs)
+	defer fused.Drain() // stops the workers if the run panics
+	spec := RunSpec{Workload: w, Scale: scale, Collector: col, Tracer: fused}
 	sess := TelemetrySession()
 	if sess != nil && sess.SnapshotInsns > 0 {
-		var caches []*cache.Cache
-		if par != nil {
-			caches = par.Caches
-		} else {
-			caches = bank.Caches
-		}
-		for _, c := range caches {
+		for _, c := range fused.Caches {
 			c.EnableSnapshots(sess.SnapshotInsns)
 		}
-		// Snapshots are clocked by the machine's instruction counter. The
-		// fused bank reads it at chunk boundaries; the parallel bank stamps
-		// each chunk as the (paused) machine publishes it, so both see the
-		// same per-chunk values and record identical snapshots.
-		spec.OnMachine = func(m *vm.Machine) {
-			if par != nil {
-				par.SetSnapshotClock(m.Insns)
-				return
-			}
-			fused.SetSnapshotClock(m.Insns)
-		}
+		// Snapshots are clocked by the machine's instruction counter, which
+		// the bank stamps on each chunk as the (paused) machine publishes
+		// it, so every worker count records identical snapshots.
+		spec.OnMachine = func(m *vm.Machine) { fused.SetSnapshotClock(m.Insns) }
 	}
 	run, err := Run(ctx, spec)
-	if par != nil {
-		par.Drain() // final barrier, also on error paths
-		bank = par.Bank()
-	}
+	fused.Drain() // final barrier, also on error paths
+	bank := fused.Bank()
 	if err != nil {
 		// An interrupted run's partial record still gets its cache results:
 		// the bank has consumed every reference the machine issued, so the

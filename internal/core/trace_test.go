@@ -1,13 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"gcsim/internal/gc"
+	"gcsim/internal/report"
 	"gcsim/internal/telemetry"
 	"gcsim/internal/workloads"
 )
@@ -194,5 +197,95 @@ func TestTraceCacheSnapshotAndProvenance(t *testing.T) {
 		if err := telemetry.ValidateRecordJSON(data); err != nil {
 			t.Errorf("record fails schema validation: %v", err)
 		}
+	}
+}
+
+// Sharded replay equivalence: one primed trace replayed with the sweep
+// bank inline (parallelism 1) and sharded over 2 and 4 workers gives
+// bitwise-identical cache statistics, periodic snapshots at the same
+// insns_at values, cache records and rendered report.
+func TestShardedReplayMatchesInline(t *testing.T) {
+	w, err := workloads.ByName("tc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := gcSweepConfigs()
+	tc := installTraceCache(t)
+	setParallelismForTest(t, 1)
+	if _, err := RunSweep(context.Background(), w, w.SmallScale, gc.NewCheney(256<<10), cfgs); err != nil {
+		t.Fatalf("priming sweep: %v", err)
+	}
+
+	type replayed struct {
+		sw     *SweepResult
+		rec    *telemetry.RunRecord
+		report string
+	}
+	replay := func(par int) replayed {
+		setParallelismForTest(t, par)
+		sess := telemetry.NewSession("test", par)
+		sess.SnapshotInsns = 200_000
+		EnableTelemetry(sess)
+		defer EnableTelemetry(nil)
+		spans := telemetry.NewSpanRecorder(0)
+		SetSpans(spans)
+		defer SetSpans(nil)
+		sw, err := RunSweep(context.Background(), w, w.SmallScale, gc.NewCheney(256<<10), cfgs)
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", par, err)
+		}
+		// The replay span names the bank's worker count, and the
+		// simulate stage is timed on the sharded path too.
+		var workers string
+		var simulate int64
+		for _, sp := range spans.Spans() {
+			switch sp.Name {
+			case telemetry.StageReplay:
+				workers = sp.Attrs["workers"]
+			case telemetry.StageSimulate:
+				simulate = sp.DurationNanos
+			}
+		}
+		if want := fmt.Sprint(min(par, len(cfgs))); workers != want {
+			t.Errorf("parallelism %d: replay span workers=%q, want %s", par, workers, want)
+		}
+		if simulate <= 0 {
+			t.Errorf("parallelism %d: replay reported no simulate time", par)
+		}
+		recs := sess.Records()
+		if len(recs) != 1 || recs[0].Trace == nil || recs[0].Trace.Source != "replay" {
+			t.Fatalf("parallelism %d: want one replay record, got %d", par, len(recs))
+		}
+		var out bytes.Buffer
+		report.Render(&out, report.Run{Name: w.Name, Collector: sw.Run.Collector, GCStats: sw.Run.GCStats,
+			Checksum: sw.Run.Checksum, Insns: sw.Run.Insns, GCInsns: sw.Run.GCInsns}, sw.Bank.Caches, true)
+		return replayed{sw, recs[0], out.String()}
+	}
+
+	inline := replay(1)
+	for _, par := range []int{2, 4} {
+		got := replay(par)
+		for i, ic := range inline.sw.Bank.Caches {
+			sc := got.sw.Bank.Caches[i]
+			if ic.S != sc.S {
+				t.Errorf("parallelism %d, %v: stats %+v != inline %+v", par, ic.Config(), sc.S, ic.S)
+			}
+			is, gs := ic.Snapshots(), sc.Snapshots()
+			if len(is) < 2 {
+				t.Fatalf("%v: %d snapshots; equivalence is vacuous", ic.Config(), len(is))
+			}
+			if !reflect.DeepEqual(is, gs) {
+				t.Errorf("parallelism %d, %v: snapshots differ from inline", par, ic.Config())
+			}
+		}
+		if !reflect.DeepEqual(inline.rec.Caches, got.rec.Caches) {
+			t.Errorf("parallelism %d: cache records differ from inline", par)
+		}
+		if got.report != inline.report {
+			t.Errorf("parallelism %d: report differs from inline:\n%s\nvs\n%s", par, got.report, inline.report)
+		}
+	}
+	if n := tc.Stats().Recorded; n != 1 {
+		t.Errorf("%d traces recorded, want 1 (every sweep after the first replays)", n)
 	}
 }

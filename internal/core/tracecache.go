@@ -576,11 +576,12 @@ func (tc *TraceCache) openTrace(ctx context.Context, meta *TraceMeta) (io.ReadSe
 
 // runSweep is RunSweep's record/replay path: ensure the trace exists (one
 // VM run at most, ever — cluster-wide when a remote index is wired), then
-// drive the sweep from the trace. v2 traces take the fused path — a
-// SharedReplayer decodes each frame exactly once and a FusedBank
-// simulates the chunk against every configuration in a single pass, with
-// no per-config decode and no per-ref dispatch. v1 traces (no frame
-// stamps) fall back to the classic replayer into a bank.
+// drive the sweep from the trace. A SharedReplayer decodes each frame
+// exactly once and the sweep bank (NewSweepBank, sharded over the same
+// workers as a live sweep) simulates the chunk against every
+// configuration, with no per-config decode and no per-ref dispatch. The
+// cache holds only format-v2 traces (its identity includes the code-shape
+// version), so any other blob is a corrupt entry and fails loudly.
 func (tc *TraceCache) runSweep(ctx context.Context, w *workloads.Workload, scale int, col gc.Collector, cfgs []cache.Config) (*SweepResult, error) {
 	if scale == 0 {
 		scale = w.DefaultScale
@@ -596,18 +597,14 @@ func (tc *TraceCache) runSweep(ctx context.Context, w *workloads.Workload, scale
 	}
 	defer f.Close()
 
-	sr, serr := traceio.NewSharedReplayer(f)
-	if serr != nil {
-		// Not a v2 trace: rewind and replay through the per-bank path.
-		fallbackSweepCount.Add(1)
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, fmt.Errorf("core: trace cache: %s: %w", meta.SHA256, err)
-		}
-		return tc.replayFallback(ctx, w, scale, col, cfgs, meta, f)
+	sr, err := traceio.NewSharedReplayer(f)
+	if err != nil {
+		return nil, fmt.Errorf("core: trace cache: %s: %w", meta.SHA256, err)
 	}
 	fusedSweepCount.Add(1)
 	sr.SetDecoders(Parallelism())
-	fused := cache.NewFusedBank(cfgs)
+	fused := NewSweepBank(cfgs)
+	defer fused.Drain() // stops the workers if the replay panics
 	bank := fused.Bank()
 	sess := TelemetrySession()
 	if sess != nil && sess.SnapshotInsns > 0 {
@@ -626,8 +623,10 @@ func (tc *TraceCache) runSweep(ctx context.Context, w *workloads.Workload, scale
 	spanCtx, span := Spans().StartSpan(ctx, telemetry.StageReplay)
 	span.SetAttr("path", "fused")
 	span.SetAttr("configs", fmt.Sprint(len(cfgs)))
+	span.SetAttr("workers", fmt.Sprint(fused.Workers()))
 	start := time.Now()
 	n, rerr := sr.Run(ctx, fused)
+	fused.Drain() // final barrier, also on error paths
 	dur := time.Since(start)
 	span.End()
 	emitReplayStages(spanCtx, start, sr.DecodeSeconds(), fused.SimulateSeconds(), fused.MergeSeconds())
@@ -673,118 +672,11 @@ func (tc *TraceCache) runSweep(ctx context.Context, w *workloads.Workload, scale
 		w.Name, meta.Collector, dur.Seconds(), n, float64(n)/1e6/max(dur.Seconds(), 1e-9))
 	// The per-stage breakdown of the fused sweep: decode is paid once for
 	// all configurations; simulate is the fused kernel; merge is the
-	// per-chunk stat folding and snapshot checks. bench_replay.sh parses
-	// this line from the progress stream.
-	prog.Printf("replay stages: decode=%.3fs simulate=%.3fs merge=%.3fs frames=%d configs=%d path=fused",
-		sr.DecodeSeconds(), fused.SimulateSeconds(), fused.MergeSeconds(), sr.Frames(), len(cfgs))
-
-	if sess != nil {
-		rec := newRunRecord(spec, run, nil, dur, 0)
-		rec.Trace = traceProvenance("replay", meta)
-		run.Record = rec
-		sess.Add(rec)
-	}
-	return finishSweep(run, bank, cfgs, sess), nil
-}
-
-// replayFallback drives a sweep from a trace the shared decoder cannot
-// serve (format v1): the classic replayer delivers each chunk to a serial
-// or parallel bank, paying per-tracer dispatch but preserving the exact
-// replay semantics (including snapshot clocks via the replayer's stamp).
-func (tc *TraceCache) replayFallback(ctx context.Context, w *workloads.Workload, scale int, col gc.Collector, cfgs []cache.Config, meta *TraceMeta, f io.ReadSeeker) (*SweepResult, error) {
-	rp, err := traceio.NewReplayer(f)
-	if err != nil {
-		return nil, fmt.Errorf("core: trace cache: %s: %w", meta.SHA256, err)
-	}
-	rp.SetDecoders(Parallelism())
-
-	var (
-		bank   *cache.Bank
-		tracer mem.Tracer
-		par    *cache.ParallelBank
-	)
-	if Parallelism() > 1 && len(cfgs) > 1 {
-		par = cache.NewParallelBank(cfgs)
-		tracer = par
-	} else {
-		bank = cache.NewBank(cfgs)
-		tracer = bank
-	}
-	sess := TelemetrySession()
-	if sess != nil && sess.SnapshotInsns > 0 {
-		var caches []*cache.Cache
-		if par != nil {
-			caches = par.Caches
-		} else {
-			caches = bank.Caches
-		}
-		for _, c := range caches {
-			c.EnableSnapshots(sess.SnapshotInsns)
-		}
-		// The replayer's clock publishes each frame's recorded instruction
-		// stamp exactly where a live run's machine would publish its
-		// counter, so snapshots land on identical insns_at values.
-		if par != nil {
-			par.SetSnapshotClock(rp.Clock)
-		} else {
-			bank.SetSnapshotClock(rp.Clock)
-		}
-	}
-
-	prog := progress()
-	prog.Printf("replay %s gc=%s started (%d refs cached)", w.Name, meta.Collector, meta.Refs)
-	_, span := Spans().StartSpan(ctx, telemetry.StageReplay)
-	span.SetAttr("path", "fallback")
-	span.SetAttr("configs", fmt.Sprint(len(cfgs)))
-	start := time.Now()
-	n, rerr := rp.Run(ctx, tracer)
-	if par != nil {
-		par.Drain() // final barrier, also on error paths
-		bank = par.Bank()
-	}
-	dur := time.Since(start)
-	span.End()
-
-	run := &RunResult{
-		Workload:  meta.Workload,
-		Collector: meta.Collector,
-		Checksum:  meta.Checksum,
-		Insns:     meta.Insns,
-		GCInsns:   meta.GCInsns,
-		Counters:  meta.Counters,
-		GCStats:   meta.GCStats,
-	}
-	spec := RunSpec{Workload: w, Scale: scale, Collector: col}
-
-	if rerr != nil {
-		if ctx.Err() != nil {
-			// Match the live path's contract: the error satisfies both
-			// ctx.Err() and vm.ErrInterrupted under errors.Is.
-			rerr = fmt.Errorf("%w: %w", vm.ErrInterrupted, rerr)
-		}
-		prog.Printf("replay %s gc=%s failed: %v", w.Name, meta.Collector, rerr)
-		if sess != nil {
-			rec := newRunRecord(spec, run, nil, dur, 0)
-			rec.Status = telemetry.StatusFailed
-			if ctx.Err() != nil {
-				rec.Status = telemetry.StatusInterrupted
-			}
-			rec.Error = rerr.Error()
-			rec.Trace = traceProvenance("replay", meta)
-			for _, c := range bank.Caches {
-				rec.Caches = append(rec.Caches, telemetry.CacheRecordOf(c, run.Insns))
-			}
-			run.Record = rec
-			sess.Add(rec)
-		}
-		return nil, rerr
-	}
-	if n != meta.Refs {
-		return nil, fmt.Errorf("core: trace cache: %s replayed %d refs, sidecar says %d — corrupt entry?",
-			meta.SHA256, n, meta.Refs)
-	}
-	prog.Printf("replay %s gc=%s done in %.2fs: %d refs (%.1fM refs/s)",
-		w.Name, meta.Collector, dur.Seconds(), n, float64(n)/1e6/max(dur.Seconds(), 1e-9))
+	// per-chunk stat folding and snapshot checks, both summed over the
+	// bank's workers. bench_replay.sh parses this line from the progress
+	// stream.
+	prog.Printf("replay stages: decode=%.3fs simulate=%.3fs merge=%.3fs frames=%d configs=%d path=fused workers=%d",
+		sr.DecodeSeconds(), fused.SimulateSeconds(), fused.MergeSeconds(), sr.Frames(), len(cfgs), fused.Workers())
 
 	if sess != nil {
 		rec := newRunRecord(spec, run, nil, dur, 0)

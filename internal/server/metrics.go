@@ -144,7 +144,6 @@ func (m *Metrics) WriteText(w io.Writer, tc *core.TraceCache, queued int, tenant
 		{"gcsimd_trace_recorded_total", "Traces recorded by this node.", "counter", float64(recorded)},
 		{"gcsimd_trace_remote_fetches_total", "Trace misses resolved by fetching another node's recording by content hash.", "counter", float64(remoteFetches)},
 		{"gcsimd_fused_sweeps_total", "Replayed sweeps that decoded the trace once and simulated all configurations in a single fused pass.", "counter", float64(fused.FusedSweeps)},
-		{"gcsimd_fallback_sweeps_total", "Replayed sweeps that fell back to per-bank replay (v1 traces).", "counter", float64(fused.FallbackSweeps)},
 		{"gcsimd_decode_once_frames_total", "Trace frames decoded exactly once on the fused path, each serving every configuration of its sweep.", "counter", float64(fused.DecodeOnceFrames)},
 		{"gcsimd_shed_total", "Submissions rejected with 429 because the queue was past its high-water mark.", "counter", float64(m.ShedTotal.Load())},
 		{"gcsimd_preemptions_total", "Running jobs preempted to free a worker for higher-priority work.", "counter", float64(m.PreemptionsTotal.Load())},

@@ -1,7 +1,7 @@
 // Trace replay: the consumer side of the record-once / replay-many
 // engine. A Replayer reads either trace format (v1 flat records, v2
 // frames) and feeds the reference stream to any mem.Tracer; a
-// batch-capable tracer (a cache, a Bank, a ParallelBank) receives whole
+// batch-capable tracer (a cache, a Bank, a FusedBank) receives whole
 // chunks, reproducing exactly the chunk boundaries of the recorded run.
 // A SharedReplayer is the decode-once variant: it hands each decoded
 // frame, together with its recorded instruction-clock stamp, to a
@@ -346,9 +346,9 @@ func (rp *Replayer) runParallel(ctx context.Context, emit emitFunc) (uint64, err
 // SharedReplayer replays one v2 trace into a ChunkSink, decoding each
 // frame exactly once no matter how many cache configurations the sink
 // fans the chunk out to. It refuses v1 traces — they carry no frame
-// stamps, so a shared replay could not reproduce snapshot clocks; callers
-// fall back to a Replayer per config (or a Bank) for those. Like
-// Replayer, it is single-shot.
+// stamps, so a shared replay could not reproduce snapshot clocks; a
+// caller that must read v1 uses a Replayer. Like Replayer, it is
+// single-shot.
 type SharedReplayer struct {
 	rp *Replayer
 }

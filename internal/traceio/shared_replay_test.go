@@ -93,7 +93,7 @@ func TestSharedReplayerMatchesReplayer(t *testing.T) {
 	}
 }
 
-// TestSharedReplayerRejectsV1 pins the fallback rule: v1 traces have no
+// TestSharedReplayerRejectsV1 pins the v2-only rule: v1 traces have no
 // frame stamps and must be refused, not silently degraded.
 func TestSharedReplayerRejectsV1(t *testing.T) {
 	var buf bytes.Buffer

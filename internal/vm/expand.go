@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"gcsim/internal/scheme"
 )
@@ -15,13 +16,14 @@ import (
 func sym(s string) scheme.Datum              { return scheme.Sym(s) }
 func lst(items ...scheme.Datum) scheme.Datum { return scheme.List(items...) }
 
-var gensymCounter int
+// gensymCounter is shared by every machine's compiler, and machines
+// compile concurrently under the experiment pool.
+var gensymCounter atomic.Int64
 
 // expandGensym makes a compile-time symbol that cannot collide with
 // program identifiers (% is reserved by convention).
 func expandGensym(prefix string) scheme.Sym {
-	gensymCounter++
-	return scheme.Sym(fmt.Sprintf("%%%s.%d", prefix, gensymCounter))
+	return scheme.Sym(fmt.Sprintf("%%%s.%d", prefix, gensymCounter.Add(1)))
 }
 
 func (c *compiler) expand(d scheme.Datum) scheme.Datum {

@@ -129,10 +129,11 @@ echo "stdout: live, per-config, priming, and fused replay sweeps byte-identical"
 echo "records: schema-valid"
 
 # The fused sweep's stage breakdown, from the -progress stderr:
-#   gcsim: replay stages: decode=0.123s simulate=0.456s merge=0.007s frames=N configs=N path=fused
+#   gcsim: replay stages: decode=0.123s simulate=0.456s merge=0.007s frames=N configs=N path=fused workers=N
+# simulate and merge are summed over the bank's workers.
 stages=$(grep 'replay stages:' "$tmp/cached_progress.txt" | head -1)
 if [ -z "$stages" ]; then
-    echo "FAIL: fused replay emitted no stage breakdown (fell back to per-bank replay?)" >&2
+    echo "FAIL: fused replay emitted no stage breakdown" >&2
     cat "$tmp/cached_progress.txt" >&2
     exit 1
 fi
@@ -147,7 +148,8 @@ decode_s=$(echo "$stages" | sed -n 's/.*decode=\([0-9.]*\)s.*/\1/p')
 simulate_s=$(echo "$stages" | sed -n 's/.*simulate=\([0-9.]*\)s.*/\1/p')
 merge_s=$(echo "$stages" | sed -n 's/.*merge=\([0-9.]*\)s.*/\1/p')
 frames=$(echo "$stages" | sed -n 's/.*frames=\([0-9]*\).*/\1/p')
-echo "fused stages: decode=${decode_s}s simulate=${simulate_s}s merge=${merge_s}s ($frames frames)"
+workers=$(echo "$stages" | sed -n 's/.*workers=\([0-9]*\).*/\1/p')
+echo "fused stages: decode=${decode_s}s simulate=${simulate_s}s merge=${merge_s}s ($frames frames, $workers workers)"
 
 # The span-enabled run's recorder summary, from the -progress stderr:
 #   gcsim: spans: total=N dropped=N overhead=0.000123s
