@@ -2,18 +2,18 @@
 // or replays a captured trace into a cache configuration — the paper's
 // trace-driven simulation methodology as standalone artifacts.
 //
-// Captures are written in trace format v2 (framed chunks, optionally
-// flate-compressed with -compress; see internal/traceio). Replay accepts
-// v2 files, legacy v1 files, and gzip-compressed legacy captures (the
-// pre-v2 gctrace wrote gzip-wrapped v1), and decodes v2 frames on a
-// goroutine pool (-parallel). Both modes report reference counts and
-// host throughput; -timeout and SIGINT/SIGTERM cancel cleanly.
+// Traces are in format v2 (framed chunks, optionally flate-compressed
+// with -compress; see internal/traceio), the only format replay reads;
+// legacy v1 captures, plain or gzip-wrapped, are refused and must be
+// captured again. Replay decodes frames on a goroutine pool (-parallel).
+// Both modes report reference counts and host throughput; -timeout and
+// SIGINT/SIGTERM cancel cleanly.
 //
 // Replay accepts comma-separated -cache and -block lists; the cross
-// product is simulated in one pass. Multi-configuration replays of v2
-// traces take the fused path — each frame is decoded exactly once and
-// fanned out to every configuration, simulated on -parallel workers — and
-// report the per-stage decode/simulate/merge breakdown.
+// product is simulated in one pass. Multi-configuration replays take the
+// fused path — each frame is decoded exactly once and fanned out to every
+// configuration, simulated on -parallel workers — and report the
+// per-stage decode/simulate/merge breakdown.
 //
 // Usage:
 //
@@ -25,12 +25,9 @@
 package main
 
 import (
-	"bufio"
-	"compress/gzip"
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -174,11 +171,7 @@ func replay(ctx context.Context, path, cacheSize, blockSize, policy string, para
 		return err
 	}
 	defer f.Close()
-	r, err := sniffGzip(f)
-	if err != nil {
-		return err
-	}
-	rp, err := traceio.NewReplayer(r)
+	rp, err := traceio.NewReplayer(f)
 	if err != nil {
 		return err
 	}
@@ -196,12 +189,12 @@ func replay(ctx context.Context, path, cacheSize, blockSize, policy string, para
 	}
 	dur := time.Since(start)
 	if c == nil {
-		fmt.Printf("replayed %d references into a null consumer (trace format v%d)\n", n, rp.Version())
+		fmt.Printf("replayed %d references into a null consumer (trace format v%d)\n", n, traceio.FormatVersion)
 		fmt.Printf("throughput: %.1fM refs/s (%.2fs host time)\n",
 			refsPerSec(n, dur)/1e6, dur.Seconds())
 		return nil
 	}
-	fmt.Printf("replayed %d references into %v (trace format v%d)\n", n, c.Config(), rp.Version())
+	fmt.Printf("replayed %d references into %v (trace format v%d)\n", n, c.Config(), traceio.FormatVersion)
 	fmt.Printf("throughput: %.1fM refs/s (%.2fs host time)\n",
 		refsPerSec(n, dur)/1e6, dur.Seconds())
 	fmt.Printf("misses: %d penalized, %d allocation claims, miss ratio %.5f\n",
@@ -212,69 +205,36 @@ func replay(ctx context.Context, path, cacheSize, blockSize, policy string, para
 
 // replaySweep replays one trace into several cache configurations in a
 // single pass through the fused bank, its lanes sharded over the same
-// -parallel worker count as the frame decoders. v2 traces take the fused
-// path: each frame is decoded exactly once and fanned out to every
-// configuration. Legacy v1 traces (no frame stamps) are replayed
-// reference by reference into the same bank.
+// -parallel worker count as the frame decoders: each frame is decoded
+// exactly once and fanned out to every configuration.
 func replaySweep(ctx context.Context, path string, cfgs []cache.Config, parallel int) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	r, err := sniffGzip(f)
+	sr, err := traceio.NewSharedReplayer(f)
 	if err != nil {
 		return err
 	}
+	sr.SetDecoders(parallel)
 
 	bank := cache.NewFusedBankWorkers(cfgs, parallel)
 	defer bank.Drain()
-	sr, serr := traceio.NewSharedReplayer(r)
-	var (
-		n       uint64
-		version int
-	)
 	start := time.Now()
-	if serr == nil {
-		sr.SetDecoders(parallel)
-		n, err = sr.Run(ctx, bank)
-		version = 2
-	} else {
-		// The shared replayer consumed the header probing the version;
-		// reopen and feed the bank reference by reference.
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return err
-		}
-		r, err = sniffGzip(f)
-		if err != nil {
-			return err
-		}
-		rp, rerr := traceio.NewReplayer(r)
-		if rerr != nil {
-			return rerr
-		}
-		rp.SetDecoders(parallel)
-		n, err = rp.Run(ctx, bank)
-		version = rp.Version()
-	}
+	n, err := sr.Run(ctx, bank)
 	bank.Drain()
 	dur := time.Since(start)
 	if err != nil {
 		return err
 	}
 
-	pathName := "fused single pass"
-	if serr != nil {
-		pathName = "fused bank, per-reference replay"
-	}
-	fmt.Printf("replayed %d references into %d configurations (trace format v%d, %s)\n",
-		n, len(cfgs), version, pathName)
+	fmt.Printf("replayed %d references into %d configurations (trace format v%d, fused single pass)\n",
+		n, len(cfgs), traceio.FormatVersion)
 	fmt.Printf("throughput: %.1fM refs/s delivered, %.1fM cache accesses/s (%.2fs host time)\n",
 		refsPerSec(n, dur)/1e6, refsPerSec(n*uint64(len(cfgs)), dur)/1e6, dur.Seconds())
-	if serr == nil {
-		fmt.Printf("stages: decode=%.3fs simulate=%.3fs merge=%.3fs frames=%d workers=%d\n",
-			sr.DecodeSeconds(), bank.SimulateSeconds(), bank.MergeSeconds(), sr.Frames(), bank.Workers())
-	}
+	fmt.Printf("stages: decode=%.3fs simulate=%.3fs merge=%.3fs frames=%d workers=%d\n",
+		sr.DecodeSeconds(), bank.SimulateSeconds(), bank.MergeSeconds(), sr.Frames(), bank.Workers())
 	for _, c := range bank.Caches {
 		fmt.Printf("%-24v misses: %d penalized, %d allocation claims, miss ratio %.5f, collector misses %d\n",
 			c.Config(), c.S.Misses(), c.S.WriteAllocs, c.S.MissRatio(), c.S.GCMisses())
@@ -288,21 +248,6 @@ type nullSink struct{}
 
 func (*nullSink) Ref(addr uint64, write, collector bool) {}
 func (*nullSink) RefBatch(refs []mem.Ref)                {}
-
-// sniffGzip transparently unwraps gzip-compressed captures (the pre-v2
-// gctrace wrote gzip-wrapped v1 traces) by peeking at the two-byte magic.
-func sniffGzip(f *os.File) (io.Reader, error) {
-	br := bufio.NewReaderSize(f, 1<<20)
-	head, err := br.Peek(2)
-	if err == nil && head[0] == 0x1f && head[1] == 0x8b {
-		zr, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, err
-		}
-		return zr, nil
-	}
-	return br, nil
-}
 
 func refsPerSec(n uint64, dur time.Duration) float64 {
 	return float64(n) / max(dur.Seconds(), 1e-9)

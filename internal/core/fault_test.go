@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -292,6 +293,77 @@ func TestPerConfigSweepIsolatesPanics(t *testing.T) {
 		var pe *PanicError
 		if !errors.As(f, &pe) {
 			t.Errorf("%s: failure does not unwrap to *PanicError: %v", f.Config, f)
+		}
+	}
+}
+
+// onceBombCollector panics at the first safepoint of the first run any
+// copy sharing its flag reaches, then behaves as the collector it wraps.
+type onceBombCollector struct {
+	gc.Collector
+	fired *atomic.Bool
+}
+
+func (b *onceBombCollector) NeedsCollect() bool {
+	if b.fired.CompareAndSwap(false, true) {
+		panic("bomb: injected collector fault")
+	}
+	return b.Collector.NeedsCollect()
+}
+
+// TestRecordPanicAbortsBlob panics the VM in the middle of a cold sweep's
+// recording, behind the panic barrier the per-config fused pass uses.
+// The half-written blob must be aborted (no ingest temp file left in the
+// store) and nothing filed, so the next sweep re-records the key cleanly
+// and the one after it replays.
+func TestRecordPanicAbortsBlob(t *testing.T) {
+	w, err := workloads.ByName("tc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, par := range []int{1, 4} {
+		setParallelismForTest(t, par)
+		tc := installTraceCache(t)
+		fired := new(atomic.Bool)
+		mkCol := func() gc.Collector { return &onceBombCollector{gc.NewCheney(256 << 10), fired} }
+
+		_, err := runSweepIsolated(ctx, tc, w, w.SmallScale, mkCol(), faultConfigs())
+		var pe *PanicError
+		if !errors.As(err, &pe) || !strings.Contains(pe.Error(), "bomb") {
+			t.Fatalf("par=%d: recording sweep returned %v, want the collector's panic", par, err)
+		}
+		tmps, err := filepath.Glob(filepath.Join(tc.Dir(), "blobs", "ingest-*.tmp"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tmps) != 0 {
+			t.Errorf("par=%d: the panicking recording left %v behind", par, tmps)
+		}
+		if st := tc.Stats(); st.Recorded != 0 {
+			t.Errorf("par=%d: a panicked recording was filed: %+v", par, st)
+		}
+
+		rerecorded, err := runSweepIsolated(ctx, tc, w, w.SmallScale, mkCol(), faultConfigs())
+		if err != nil {
+			t.Fatalf("par=%d: re-recording after the panic: %v", par, err)
+		}
+		replayed, err := runSweepIsolated(ctx, tc, w, w.SmallScale, mkCol(), faultConfigs())
+		if err != nil {
+			t.Fatalf("par=%d: replay of the re-recorded trace: %v", par, err)
+		}
+		if st := tc.Stats(); st.Recorded != 1 || st.Hits != 1 {
+			t.Errorf("par=%d: trace cache stats %+v, want one recording then one hit", par, st)
+		}
+		if !reflect.DeepEqual(rerecorded.Stats, replayed.Stats) {
+			t.Errorf("par=%d: the re-recorded sweep and its replay disagree", par)
+		}
+		blobs, err := os.ReadDir(filepath.Join(tc.Dir(), "blobs"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(blobs) != 1 {
+			t.Errorf("par=%d: blob store holds %d entries, want the one committed trace", par, len(blobs))
 		}
 	}
 }

@@ -269,43 +269,61 @@ func RunSweep(ctx context.Context, w *workloads.Workload, scale int, col gc.Coll
 // runSweepWith is RunSweep against an explicit trace cache (nil = live
 // simulation, no record/replay).
 func runSweepWith(ctx context.Context, tc *TraceCache, w *workloads.Workload, scale int, col gc.Collector, cfgs []cache.Config) (*SweepResult, error) {
-	if tc != nil {
-		return tc.runSweep(ctx, w, scale, col, cfgs)
-	}
+	sess := TelemetrySession()
 	fused := NewSweepBank(cfgs)
 	defer fused.Drain() // stops the workers if the run panics
-	spec := RunSpec{Workload: w, Scale: scale, Collector: col, Tracer: fused}
-	sess := TelemetrySession()
 	if sess != nil && sess.SnapshotInsns > 0 {
 		for _, c := range fused.Caches {
 			c.EnableSnapshots(sess.SnapshotInsns)
 		}
+	}
+	if tc != nil {
+		return tc.runSweep(ctx, w, scale, col, cfgs, fused)
+	}
+	run, err := runOnBank(ctx, RunSpec{Workload: w, Scale: scale, Collector: col, Tracer: fused}, fused)
+	if err != nil {
+		return nil, err
+	}
+	return finishSweep(run, fused.Bank(), cfgs, sess), nil
+}
+
+// runOnBank runs spec live with fused among its tracers: the sweep's
+// simulation as the VM produces the stream, whether or not the stream is
+// also being recorded. It drains the bank before returning.
+func runOnBank(ctx context.Context, spec RunSpec, fused *cache.FusedBank) (*RunResult, error) {
+	if sess := TelemetrySession(); sess != nil && sess.SnapshotInsns > 0 {
 		// Snapshots are clocked by the machine's instruction counter, which
 		// the bank stamps on each chunk as the (paused) machine publishes
 		// it, so every worker count records identical snapshots.
-		spec.OnMachine = func(m *vm.Machine) { fused.SetSnapshotClock(m.Insns) }
+		onMachine := spec.OnMachine
+		spec.OnMachine = func(m *vm.Machine) {
+			if onMachine != nil {
+				onMachine(m)
+			}
+			fused.SetSnapshotClock(m.Insns)
+		}
 	}
 	run, err := Run(ctx, spec)
 	fused.Drain() // final barrier, also on error paths
-	bank := fused.Bank()
 	if err != nil {
 		// An interrupted run's partial record still gets its cache results:
 		// the bank has consumed every reference the machine issued, so the
 		// statistics are exact for the truncated reference stream.
 		if run != nil && run.Record != nil {
-			for _, c := range bank.Caches {
+			for _, c := range fused.Caches {
 				run.Record.Caches = append(run.Record.Caches, telemetry.CacheRecordOf(c, run.Insns))
 			}
 		}
 		return nil, err
 	}
-	return finishSweep(run, bank, cfgs, sess), nil
+	return run, nil
 }
 
 // finishSweep assembles a SweepResult from a completed run and its bank,
 // attaching per-cache records (with a closing snapshot sample) and folding
 // snapshot overhead into the run's telemetry record. Shared by the live
-// path above and the trace-replay path (tracecache.go).
+// path above and the trace cache's record and replay paths
+// (tracecache.go).
 func finishSweep(run *RunResult, bank *cache.Bank, cfgs []cache.Config, sess *telemetry.Session) *SweepResult {
 	out := &SweepResult{Run: run, Bank: bank, Stats: map[cache.Config]cache.Stats{}}
 	for _, c := range bank.Caches {

@@ -3,15 +3,20 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"gcsim/internal/cache"
 	"gcsim/internal/gc"
 	"gcsim/internal/report"
 	"gcsim/internal/telemetry"
+	"gcsim/internal/traceio"
+	"gcsim/internal/vm"
 	"gcsim/internal/workloads"
 )
 
@@ -126,9 +131,12 @@ func TestTraceCachePerConfigSweepRunsVMOnce(t *testing.T) {
 	}
 }
 
-// Telemetry equivalence: replayed sweeps take periodic cache snapshots at
-// the same instruction counts as live ones (the trace carries each chunk's
-// clock stamp), and the run record carries trace provenance.
+// Telemetry equivalence: a cold sweep records its trace while simulating
+// the live stream and yields one run record with source=record; the warm
+// sweep replays it and yields one with source=replay. Both take periodic
+// cache snapshots at the same instruction counts as a live sweep (the
+// trace carries each chunk's clock stamp), so all three sets of cache
+// records are equal.
 func TestTraceCacheSnapshotAndProvenance(t *testing.T) {
 	w, err := workloads.ByName("tc")
 	if err != nil {
@@ -137,7 +145,7 @@ func TestTraceCacheSnapshotAndProvenance(t *testing.T) {
 	cfgs := gcSweepConfigs()[:2]
 	setParallelismForTest(t, 1)
 
-	record := func() []*telemetry.RunRecord {
+	record := func(pass string) *telemetry.RunRecord {
 		sess := telemetry.NewSession("test", 1)
 		sess.SnapshotInsns = 200_000
 		EnableTelemetry(sess)
@@ -145,57 +153,157 @@ func TestTraceCacheSnapshotAndProvenance(t *testing.T) {
 		if _, err := RunSweep(context.Background(), w, w.SmallScale, gc.NewCheney(256<<10), cfgs); err != nil {
 			t.Fatal(err)
 		}
-		return sess.Records()
-	}
-
-	SetTraceCache(nil)
-	liveRecs := record()
-	if len(liveRecs) != 1 {
-		t.Fatalf("live: %d records, want 1", len(liveRecs))
-	}
-	if liveRecs[0].Trace != nil {
-		t.Errorf("live record has trace provenance %+v, want none", liveRecs[0].Trace)
-	}
-
-	installTraceCache(t)
-	recordRecs := record() // recording run + replayed sweep
-	if len(recordRecs) != 2 {
-		t.Fatalf("record pass: %d records, want 2 (recording run + replay)", len(recordRecs))
-	}
-	rec, rep := recordRecs[0], recordRecs[1]
-	if rec.Trace == nil || rec.Trace.Source != "record" {
-		t.Fatalf("recording run provenance = %+v, want source=record", rec.Trace)
-	}
-	if rep.Trace == nil || rep.Trace.Source != "replay" {
-		t.Fatalf("replayed run provenance = %+v, want source=replay", rep.Trace)
-	}
-	if rec.Trace.SHA256 == "" || rec.Trace.SHA256 != rep.Trace.SHA256 {
-		t.Errorf("trace hashes: record %q vs replay %q", rec.Trace.SHA256, rep.Trace.SHA256)
-	}
-	if rep.Trace.Refs == 0 || rep.Trace.Refs != rec.Trace.Refs {
-		t.Errorf("trace ref counts: record %d vs replay %d", rec.Trace.Refs, rep.Trace.Refs)
-	}
-
-	// Snapshots: identical insns_at sequences, cache by cache.
-	if len(rep.Caches) != len(liveRecs[0].Caches) {
-		t.Fatalf("replay has %d cache records, live %d", len(rep.Caches), len(liveRecs[0].Caches))
-	}
-	for i, lc := range liveRecs[0].Caches {
-		rc := rep.Caches[i]
-		if !reflect.DeepEqual(lc, rc) {
-			t.Errorf("cache record %d (%s) differs between live and replay:\nlive:   %+v\nreplay: %+v",
-				i, lc.Config.Name, lc, rc)
+		recs := sess.Records()
+		if len(recs) != 1 {
+			t.Fatalf("%s: %d records, want 1", pass, len(recs))
 		}
-	}
-
-	// The record is still schema-valid with the trace block attached.
-	for _, r := range recordRecs {
-		data, err := json.Marshal(r)
+		data, err := json.Marshal(recs[0])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := telemetry.ValidateRecordJSON(data); err != nil {
-			t.Errorf("record fails schema validation: %v", err)
+			t.Errorf("%s record fails schema validation: %v", pass, err)
+		}
+		return recs[0]
+	}
+
+	SetTraceCache(nil)
+	live := record("live")
+	if live.Trace != nil {
+		t.Errorf("live record has trace provenance %+v, want none", live.Trace)
+	}
+
+	installTraceCache(t)
+	cold := record("cold")
+	warm := record("warm")
+	if cold.Trace == nil || cold.Trace.Source != "record" {
+		t.Fatalf("cold sweep provenance = %+v, want source=record", cold.Trace)
+	}
+	if warm.Trace == nil || warm.Trace.Source != "replay" {
+		t.Fatalf("warm sweep provenance = %+v, want source=replay", warm.Trace)
+	}
+	if cold.Trace.SHA256 == "" || cold.Trace.SHA256 != warm.Trace.SHA256 {
+		t.Errorf("trace hashes: record %q vs replay %q", cold.Trace.SHA256, warm.Trace.SHA256)
+	}
+	if warm.Trace.Refs == 0 || warm.Trace.Refs != cold.Trace.Refs {
+		t.Errorf("trace ref counts: record %d vs replay %d", cold.Trace.Refs, warm.Trace.Refs)
+	}
+
+	// Caches with their snapshots: identical insns_at sequences and
+	// statistics, cache by cache.
+	for pass, rec := range map[string]*telemetry.RunRecord{"cold": cold, "warm": warm} {
+		if len(rec.Caches) != len(live.Caches) {
+			t.Fatalf("%s sweep has %d cache records, live %d", pass, len(rec.Caches), len(live.Caches))
+		}
+		for i, lc := range live.Caches {
+			if len(lc.Snapshots) < 2 {
+				t.Fatalf("%s: %d snapshots; equivalence is vacuous", lc.Config.Name, len(lc.Snapshots))
+			}
+			if !reflect.DeepEqual(lc, rec.Caches[i]) {
+				t.Errorf("cache record %d (%s) differs between live and %s:\nlive: %+v\n%s: %+v",
+					i, lc.Config.Name, pass, lc, pass, rec.Caches[i])
+			}
+		}
+	}
+}
+
+// Cold, warm and live sweeps are one engine seen three ways. At every
+// parallelism, for a one-config and an eight-config sweep, a cold sweep
+// (recorded while simulated), a warm replay of the same key and a live
+// sweep with no trace cache give identical statistics, snapshots and
+// rendered reports. The cold blob is byte-identical to a synchronous
+// BatchWriter capture of the same run, and the cold and warm sweeps
+// together run the VM exactly once.
+func TestColdSweepMatchesWarmAndLive(t *testing.T) {
+	w, err := workloads.ByName("tc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mkCol := func() gc.Collector { return gc.NewCheney(256 << 10) }
+
+	// The reference capture: the engine's pre-pipelining recording, a
+	// BatchWriter on the VM goroutine stamped by the machine's clock.
+	h := sha256.New()
+	bw, err := traceio.NewBatchWriter(h, traceio.WriterOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), RunSpec{Workload: w, Scale: w.SmallScale, Collector: mkCol(), Tracer: bw,
+		OnMachine: func(m *vm.Machine) { bw.SetClock(m.Insns) }}); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wantSHA := hex.EncodeToString(h.Sum(nil))
+
+	type swept struct {
+		sw     *SweepResult
+		rec    *telemetry.RunRecord
+		report string
+	}
+
+	for _, par := range []int{1, 2, 4} {
+		setParallelismForTest(t, par)
+		for _, cfgs := range [][]cache.Config{gcSweepConfigs()[:1], gcSweepConfigs()} {
+			run := func(pass string) swept {
+				sess := telemetry.NewSession("test", par)
+				sess.SnapshotInsns = 200_000
+				EnableTelemetry(sess)
+				defer EnableTelemetry(nil)
+				sw, err := RunSweep(context.Background(), w, w.SmallScale, mkCol(), cfgs)
+				if err != nil {
+					t.Fatalf("par=%d configs=%d %s: %v", par, len(cfgs), pass, err)
+				}
+				recs := sess.Records()
+				if len(recs) != 1 {
+					t.Fatalf("par=%d configs=%d %s: %d records, want 1", par, len(cfgs), pass, len(recs))
+				}
+				var out bytes.Buffer
+				report.Render(&out, report.Run{Name: w.Name, Collector: sw.Run.Collector, GCStats: sw.Run.GCStats,
+					Checksum: sw.Run.Checksum, Insns: sw.Run.Insns, GCInsns: sw.Run.GCInsns}, sw.Bank.Caches, true)
+				return swept{sw, recs[0], out.String()}
+			}
+
+			SetTraceCache(nil)
+			live := run("live")
+			tc := installTraceCache(t)
+			before := VMRunsStarted()
+			cold := run("cold")
+			warm := run("warm")
+			SetTraceCache(nil)
+			if got := VMRunsStarted() - before; got != 1 {
+				t.Errorf("par=%d configs=%d: cold+warm started %d VM runs, want 1", par, len(cfgs), got)
+			}
+			if st := tc.Stats(); st.Recorded != 1 || st.Hits != 1 {
+				t.Errorf("par=%d configs=%d: trace cache stats %+v, want one recording and one hit", par, len(cfgs), st)
+			}
+			if cold.rec.Trace == nil || cold.rec.Trace.Source != "record" || cold.rec.Trace.SHA256 != wantSHA {
+				t.Errorf("par=%d configs=%d: cold provenance %+v, want source=record sha256=%s", par, len(cfgs), cold.rec.Trace, wantSHA)
+			}
+			if warm.rec.Trace == nil || warm.rec.Trace.Source != "replay" {
+				t.Errorf("par=%d configs=%d: warm provenance %+v, want source=replay", par, len(cfgs), warm.rec.Trace)
+			}
+			for pass, got := range map[string]swept{"cold": cold, "warm": warm} {
+				if !reflect.DeepEqual(got.sw.Stats, live.sw.Stats) {
+					t.Errorf("par=%d configs=%d %s: stats differ from live", par, len(cfgs), pass)
+				}
+				for i, lc := range live.sw.Bank.Caches {
+					ls, gs := lc.Snapshots(), got.sw.Bank.Caches[i].Snapshots()
+					if len(ls) < 2 {
+						t.Fatalf("%v: %d snapshots; equivalence is vacuous", lc.Config(), len(ls))
+					}
+					if !reflect.DeepEqual(ls, gs) {
+						t.Errorf("par=%d configs=%d %s, %v: snapshots differ from live", par, len(cfgs), pass, lc.Config())
+					}
+				}
+				if !reflect.DeepEqual(got.rec.Caches, live.rec.Caches) {
+					t.Errorf("par=%d configs=%d %s: cache records differ from live", par, len(cfgs), pass)
+				}
+				if got.report != live.report {
+					t.Errorf("par=%d configs=%d %s: report differs from live:\n%s\nvs\n%s", par, len(cfgs), pass, got.report, live.report)
+				}
+			}
 		}
 	}
 }

@@ -26,8 +26,9 @@ import (
 // the experiment engine. The paper's methodology evaluates every cache
 // configuration against one reference stream; a TraceCache makes the
 // harness do the same. The first sweep over a (workload, scale, collector)
-// triple runs the VM once with a traceio.BatchWriter attached and files
-// the trace under a content key; every subsequent sweep — including every
+// triple runs the VM once with its cache bank and a trace writer
+// attached — simulating the sweep while recording it — and files the
+// trace under a content key; every subsequent sweep — including every
 // per-config run of the resilient path — replays the trace instead of
 // re-interpreting the program. Replayed statistics are bitwise-identical
 // to live ones (the replayer reproduces the exact chunked reference
@@ -340,11 +341,13 @@ func collectorIdentity(col gc.Collector) string {
 	return gc.Identity(col)
 }
 
-// ensure returns the trace for (w, scale, col), recording it with a
-// single VM run — or, in a cluster, fetching it from whichever node
-// recorded it — if the local cache does not hold it yet. scale must
-// already be normalized (non-zero).
-func (tc *TraceCache) ensure(ctx context.Context, w *workloads.Workload, scale int, col gc.Collector) (*TraceMeta, error) {
+// ensure returns the trace for (w, scale, col). When the local cache
+// does not hold it yet, it records it with a single VM run that also
+// drives the sweep's bank, and returns that run: the bank then holds the
+// sweep and the fresh trace need not be read back. In a cluster a trace
+// another node recorded is fetched by hash instead (run is nil, as on a
+// hit). scale must already be normalized (non-zero).
+func (tc *TraceCache) ensure(ctx context.Context, w *workloads.Workload, scale int, col gc.Collector, fused *cache.FusedBank) (*TraceMeta, *RunResult, error) {
 	identity := collectorIdentity(col)
 	key := traceKey(w.Name, scale, identity)
 
@@ -358,66 +361,62 @@ func (tc *TraceCache) ensure(ctx context.Context, w *workloads.Workload, scale i
 
 	meta, err := tc.loadLocal(ctx, key, w.Name, scale, identity)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if meta != nil {
 		tc.hits.Add(1)
 		span.SetAttr("result", "hit")
-		return meta, nil
+		return meta, nil, nil
 	}
 	tc.misses.Add(1)
 
 	if tc.remote != nil {
-		meta, err := tc.ensureViaCluster(ctx, w, scale, col, identity, key, span)
-		if err != nil {
-			return nil, err
-		}
-		return meta, nil
+		return tc.ensureViaCluster(ctx, w, scale, col, identity, key, span, fused)
 	}
 
 	span.SetAttr("result", "miss")
-	return tc.record(ctx, w, scale, col, identity, key)
+	return tc.record(ctx, w, scale, col, identity, key, fused)
 }
 
 // ensureViaCluster resolves a local miss through the cluster's trace
 // index: fetch the meta if any node already recorded the trace, record
-// and publish if this node wins the recording lease, or poll while
-// another node records.
-func (tc *TraceCache) ensureViaCluster(ctx context.Context, w *workloads.Workload, scale int, col gc.Collector, identity, key string, span *telemetry.ActiveSpan) (*TraceMeta, error) {
+// (simulating the sweep as ensure does) and publish if this node wins the
+// recording lease, or poll while another node records.
+func (tc *TraceCache) ensureViaCluster(ctx context.Context, w *workloads.Workload, scale int, col gc.Collector, identity, key string, span *telemetry.ActiveSpan, fused *cache.FusedBank) (*TraceMeta, *RunResult, error) {
 	for {
 		granted, recorded, err := tc.remote.Claim(ctx, key)
 		if err != nil {
-			return nil, fmt.Errorf("core: trace cache: cluster claim for %s: %w", key, err)
+			return nil, nil, fmt.Errorf("core: trace cache: cluster claim for %s: %w", key, err)
 		}
 		if recorded != nil {
 			if err := validateTraceMeta(recorded, key, w.Name, scale, identity); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if err := tc.index.Save(key, recorded); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			tc.fetched.Add(1)
 			span.SetAttr("result", "remote")
 			progress().Printf("trace cache: %s gc=%s recorded elsewhere, fetching by hash %s",
 				w.Name, identity, recorded.SHA256[:16])
-			return recorded, nil
+			return recorded, nil, nil
 		}
 		if granted {
 			span.SetAttr("result", "miss")
-			meta, err := tc.record(ctx, w, scale, col, identity, key)
+			meta, run, err := tc.record(ctx, w, scale, col, identity, key, fused)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if err := tc.remote.Publish(ctx, key, meta); err != nil {
-				return nil, fmt.Errorf("core: trace cache: cluster publish for %s: %w", key, err)
+				return nil, nil, fmt.Errorf("core: trace cache: cluster publish for %s: %w", key, err)
 			}
-			return meta, nil
+			return meta, run, nil
 		}
 		// Another node holds the recording lease: poll until it publishes
 		// (or its lease expires and a later Claim grants us the key).
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		case <-time.After(300 * time.Millisecond):
 		}
 	}
@@ -474,89 +473,104 @@ func (cw *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// record runs the VM once with a trace writer attached and streams the
-// result into the blob store (hash computed as the bytes are written),
-// then files the sidecar. Blob first, sidecar second: a crash in
-// between leaves a blob without an index entry (a miss, re-recorded
-// next time), never a sidecar pointing at a missing or torn trace.
-func (tc *TraceCache) record(ctx context.Context, w *workloads.Workload, scale int, col gc.Collector, identity, key string) (_ *TraceMeta, err error) {
+// record runs the VM once with the sweep's bank and a trace writer
+// attached, so the sweep is simulated while its trace is recorded. The
+// writer encodes on its own goroutine and streams into the blob store
+// (hash computed as the bytes are written); the sidecar is filed once
+// the blob is committed. Blob first, sidecar second: a crash in between
+// leaves a blob without an index entry (a miss, re-recorded next time),
+// never a sidecar pointing at a missing or torn trace. On every path
+// that does not commit — an error, a cancellation, a panic in the VM,
+// the collector or the bank — the blob is aborted.
+func (tc *TraceCache) record(ctx context.Context, w *workloads.Workload, scale int, col gc.Collector, identity, key string, fused *cache.FusedBank) (*TraceMeta, *RunResult, error) {
 	progress().Printf("trace cache: recording %s gc=%s", w.Name, identity)
-	ctx, span := Spans().StartSpan(ctx, telemetry.StageTraceRecord)
+	spanCtx, span := Spans().StartSpan(ctx, telemetry.StageTraceRecord)
 	span.SetAttr("workload", w.Name)
+	span.SetAttr("path", "record")
+	span.SetAttr("workers", fmt.Sprint(fused.Workers()))
 	defer span.End()
 
-	blobw, err := castore.Ingest(ctx, tc.blobs)
+	blobw, err := castore.Ingest(spanCtx, tc.blobs)
 	if err != nil {
-		return nil, fmt.Errorf("core: trace cache: %w", err)
+		return nil, nil, fmt.Errorf("core: trace cache: %w", err)
 	}
+	cw := &countWriter{w: blobw}
+	pw, err := newPipedWriter(cw)
+	if err != nil {
+		blobw.Abort()
+		return nil, nil, fmt.Errorf("core: trace cache: %w", err)
+	}
+	committed := false
 	defer func() {
-		if err != nil {
+		if !committed {
+			pw.stop()
 			blobw.Abort()
 		}
 	}()
 
-	cw := &countWriter{w: blobw}
-	bw, err := traceio.NewBatchWriter(cw, traceio.WriterOpts{})
-	if err != nil {
-		return nil, fmt.Errorf("core: trace cache: %w", err)
-	}
 	spec := RunSpec{
 		Workload:  w,
 		Scale:     scale,
 		Collector: col,
-		Tracer:    bw,
-		Label:     "trace-record",
-		// The writer stamps each frame with the machine's instruction
-		// count as the (paused) machine publishes the chunk — the same
-		// value a live bank's snapshot clock would read — so replayed
-		// telemetry snapshots land on identical instruction counts.
-		OnMachine: func(m *vm.Machine) { bw.SetClock(m.Insns) },
+		Tracer:    MultiTracer{pw, fused},
+		// The writer stamps each chunk with the machine's instruction
+		// count as the (paused) machine publishes it — the value the
+		// bank's snapshot clock reads — so replayed telemetry snapshots
+		// land on identical instruction counts.
+		OnMachine: func(m *vm.Machine) { pw.SetClock(m.Insns) },
 	}
-	res, err := Run(ctx, spec)
+	start := time.Now()
+	run, err := runOnBank(spanCtx, spec, fused)
+	vmSec := time.Since(start).Seconds()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err = bw.Close(); err != nil {
-		return nil, fmt.Errorf("core: trace cache: %w", err)
+	if err := pw.Close(); err != nil {
+		return nil, nil, fmt.Errorf("core: trace cache: %w", err)
 	}
+	committed = true // Commit consumes the writer whether or not it succeeds
 	id, err := blobw.Commit()
 	if err != nil {
-		return nil, fmt.Errorf("core: trace cache: %w", err)
+		return nil, nil, fmt.Errorf("core: trace cache: %w", err)
 	}
 
 	meta := &TraceMeta{
 		Schema:        TraceMetaSchema,
 		Workload:      w.Name,
 		Scale:         scale,
-		Collector:     res.Collector,
+		Collector:     run.Collector,
 		Identity:      identity,
 		FormatVersion: traceio.FormatVersion,
 		VMCodeShape:   vm.CodeShapeVersion,
 		SHA256:        id.String(),
-		Refs:          bw.Count(),
+		Refs:          pw.Count(),
 		TraceBytes:    cw.n,
-		Checksum:      res.Checksum,
-		Insns:         res.Insns,
-		GCInsns:       res.GCInsns,
-		Counters:      res.Counters,
-		GCStats:       res.GCStats,
+		Checksum:      run.Checksum,
+		Insns:         run.Insns,
+		GCInsns:       run.GCInsns,
+		Counters:      run.Counters,
+		GCStats:       run.GCStats,
 		RecordedAt:    time.Now().UTC().Format(time.RFC3339),
 	}
-	if res.Record != nil {
-		res.Record.Trace = &telemetry.TraceRecord{
-			Source:        "record",
-			SHA256:        meta.SHA256,
-			Refs:          meta.Refs,
-			FormatVersion: meta.FormatVersion,
-		}
+	if run.Record != nil {
+		run.Record.Trace = traceProvenance("record", meta)
 	}
-	if err = tc.index.Save(key, meta); err != nil {
-		return nil, err
+	if err := tc.index.Save(key, meta); err != nil {
+		return nil, nil, err
 	}
 	tc.recorded.Add(1)
-	progress().Printf("trace cache: recorded %s gc=%s: %d refs, %d bytes (%.2f bytes/ref)",
+	emitStageAggregates(spanCtx, start,
+		stageClock{telemetry.StageSimulate, fused.SimulateSeconds()},
+		stageClock{telemetry.StageMerge, fused.MergeSeconds()})
+	prog := progress()
+	prog.Printf("trace cache: recorded %s gc=%s: %d refs, %d bytes (%.2f bytes/ref)",
 		w.Name, identity, meta.Refs, meta.TraceBytes, float64(meta.TraceBytes)/float64(max(meta.Refs, 1)))
-	return meta, nil
+	// vm is the recording run's wall time (with an inline bank it
+	// includes the simulation); simulate and merge are the bank's clocks
+	// summed over its workers.
+	prog.Printf("record stages: vm=%.3fs simulate=%.3fs merge=%.3fs path=record workers=%d",
+		vmSec, fused.SimulateSeconds(), fused.MergeSeconds(), fused.Workers())
+	return meta, run, nil
 }
 
 // openTrace returns a streaming reader over the trace blob. With a COW
@@ -574,21 +588,28 @@ func (tc *TraceCache) openTrace(ctx context.Context, meta *TraceMeta) (io.ReadSe
 	return rc, nil
 }
 
-// runSweep is RunSweep's record/replay path: ensure the trace exists (one
-// VM run at most, ever — cluster-wide when a remote index is wired), then
-// drive the sweep from the trace. A SharedReplayer decodes each frame
-// exactly once and the sweep bank (NewSweepBank, sharded over the same
-// workers as a live sweep) simulates the chunk against every
-// configuration, with no per-config decode and no per-ref dispatch. The
-// cache holds only format-v2 traces (its identity includes the code-shape
-// version), so any other blob is a corrupt entry and fails loudly.
-func (tc *TraceCache) runSweep(ctx context.Context, w *workloads.Workload, scale int, col gc.Collector, cfgs []cache.Config) (*SweepResult, error) {
+// runSweep is RunSweep's record/replay path over the sweep's bank
+// (NewSweepBank, sharded over the same workers as a live sweep). A trace
+// cache miss records the trace while the bank simulates the live stream
+// — one VM run at most, ever, cluster-wide when a remote index is wired
+// — and the sweep comes straight from that run. A hit (or a trace
+// fetched from the node that recorded it) drives the bank from the
+// trace: a SharedReplayer decodes each frame exactly once and the bank
+// simulates the chunk against every configuration, with no per-config
+// decode and no per-ref dispatch. The cache holds only format-v2 traces
+// (its identity includes the code-shape version), so any other blob is a
+// corrupt entry and fails loudly.
+func (tc *TraceCache) runSweep(ctx context.Context, w *workloads.Workload, scale int, col gc.Collector, cfgs []cache.Config, fused *cache.FusedBank) (*SweepResult, error) {
 	if scale == 0 {
 		scale = w.DefaultScale
 	}
-	meta, err := tc.ensure(ctx, w, scale, col)
+	sess := TelemetrySession()
+	meta, recorded, err := tc.ensure(ctx, w, scale, col, fused)
 	if err != nil {
 		return nil, err
+	}
+	if recorded != nil {
+		return finishSweep(recorded, fused.Bank(), cfgs, sess), nil
 	}
 
 	f, err := tc.openTrace(ctx, meta)
@@ -603,19 +624,11 @@ func (tc *TraceCache) runSweep(ctx context.Context, w *workloads.Workload, scale
 	}
 	fusedSweepCount.Add(1)
 	sr.SetDecoders(Parallelism())
-	fused := NewSweepBank(cfgs)
-	defer fused.Drain() // stops the workers if the replay panics
+	// No snapshot clock wiring needed: every frame carries the instruction
+	// stamp the recording machine published at that chunk boundary, and
+	// ChunkBatch samples at those stamps — snapshots land on identical
+	// insns_at values to a live run's.
 	bank := fused.Bank()
-	sess := TelemetrySession()
-	if sess != nil && sess.SnapshotInsns > 0 {
-		for _, c := range fused.Caches {
-			c.EnableSnapshots(sess.SnapshotInsns)
-		}
-		// No clock wiring needed: every frame carries the instruction
-		// stamp the recording machine published at that chunk boundary,
-		// and ChunkBatch samples at those stamps — snapshots land on
-		// identical insns_at values to a live run's.
-	}
 
 	prog := progress()
 	prog.Printf("replay %s gc=%s started (%d refs cached, fused across %d configs)",
@@ -629,7 +642,10 @@ func (tc *TraceCache) runSweep(ctx context.Context, w *workloads.Workload, scale
 	fused.Drain() // final barrier, also on error paths
 	dur := time.Since(start)
 	span.End()
-	emitReplayStages(spanCtx, start, sr.DecodeSeconds(), fused.SimulateSeconds(), fused.MergeSeconds())
+	emitStageAggregates(spanCtx, start,
+		stageClock{telemetry.StageDecode, sr.DecodeSeconds()},
+		stageClock{telemetry.StageSimulate, fused.SimulateSeconds()},
+		stageClock{telemetry.StageMerge, fused.MergeSeconds()})
 	decodeOnceFrames.Add(sr.Frames())
 
 	run := &RunResult{
@@ -687,20 +703,27 @@ func (tc *TraceCache) runSweep(ctx context.Context, w *workloads.Workload, scale
 	return finishSweep(run, bank, cfgs, sess), nil
 }
 
-// emitReplayStages records the fused sweep's stage clocks as synthesized
-// child spans of the replay span (ctx must carry it). The clocks are
-// per-chunk measurements summed across decoder goroutines and lanes, so
-// each child is an aggregate — marked as such, sharing the replay's start
-// time — and their durations can exceed the replay's wall time.
-func emitReplayStages(ctx context.Context, start time.Time, decodeSec, simSec, mergeSec float64) {
+// stageClock is one engine stage's accumulated time.
+type stageClock struct {
+	stage   string
+	seconds float64
+}
+
+// emitStageAggregates records a sweep's stage clocks as synthesized
+// child spans of the span ctx carries (the replay or the trace.record
+// span). The clocks are per-chunk measurements summed across decoder
+// goroutines and bank workers, so each child is an aggregate — marked as
+// such, sharing the parent's start time — and their durations can
+// exceed the parent's wall time.
+func emitStageAggregates(ctx context.Context, start time.Time, clocks ...stageClock) {
 	r := Spans()
 	if r == nil {
 		return
 	}
 	agg := map[string]string{"aggregate": "true"}
-	r.Emit(ctx, telemetry.StageDecode, start, time.Duration(decodeSec*float64(time.Second)), agg)
-	r.Emit(ctx, telemetry.StageSimulate, start, time.Duration(simSec*float64(time.Second)), agg)
-	r.Emit(ctx, telemetry.StageMerge, start, time.Duration(mergeSec*float64(time.Second)), agg)
+	for _, c := range clocks {
+		r.Emit(ctx, c.stage, start, time.Duration(c.seconds*float64(time.Second)), agg)
+	}
 }
 
 func traceProvenance(source string, meta *TraceMeta) *telemetry.TraceRecord {

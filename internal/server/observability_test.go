@@ -51,18 +51,14 @@ func smallSpec() server.JobSpec {
 	}
 }
 
-func TestE2ESpanTreeAndMetricsHistograms(t *testing.T) {
-	tc, err := core.NewTraceCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	core.SetTraceCache(tc)
-	t.Cleanup(func() { core.SetTraceCache(nil) })
-	cl, _ := startObservedServer(t, tc)
-
+// jobSpanTree runs spec to completion and fetches its span tree, checking
+// every span against the published schema and the job's trace ID. It
+// returns the spans by name (the last of each name) and by ID.
+func jobSpanTree(t *testing.T, cl *server.Client, spec server.JobSpec) (byName map[string]telemetry.Span, ids map[uint64]telemetry.Span, spans []telemetry.Span) {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	job, err := cl.Run(ctx, smallSpec(), nil)
+	job, err := cl.Run(ctx, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +66,6 @@ func TestE2ESpanTreeAndMetricsHistograms(t *testing.T) {
 		t.Fatalf("job state = %s (%s)", job.State, job.Error)
 	}
 
-	// ---- span tree ----
 	resp, err := http.Get(cl.BaseURL + "/v1/jobs/" + job.ID + "/spans")
 	if err != nil {
 		t.Fatal(err)
@@ -90,8 +85,8 @@ func TestE2ESpanTreeAndMetricsHistograms(t *testing.T) {
 		t.Fatalf("span response: job=%q, %d spans", tree.Job, len(tree.Spans))
 	}
 
-	byName := map[string]telemetry.Span{}
-	ids := map[uint64]telemetry.Span{}
+	byName = map[string]telemetry.Span{}
+	ids = map[uint64]telemetry.Span{}
 	for _, sp := range tree.Spans {
 		// Every span must satisfy the published schema.
 		data, err := json.Marshal(sp)
@@ -107,14 +102,59 @@ func TestE2ESpanTreeAndMetricsHistograms(t *testing.T) {
 		byName[sp.Name] = sp
 		ids[sp.ID] = sp
 	}
-	for _, stage := range []string{
+	return byName, ids, tree.Spans
+}
+
+// requireStages fails the test unless every named stage is in the tree.
+func requireStages(t *testing.T, pass string, byName map[string]telemetry.Span, spans []telemetry.Span, stages ...string) {
+	t.Helper()
+	for _, stage := range stages {
+		if _, ok := byName[stage]; !ok {
+			t.Errorf("%s job: span tree missing stage %q (have %v)", pass, stage, names(spans))
+		}
+	}
+}
+
+// The span tree of a cold job (its trace recorded while the sweep is
+// simulated) and of a warm job (the same sweep replayed), and the latency
+// histograms both feed. The job is reported done only after its spans
+// have ended, so the tree is complete as soon as a client sees the state.
+func TestE2ESpanTreeAndMetricsHistograms(t *testing.T) {
+	tc, err := core.NewTraceCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.SetTraceCache(tc)
+	t.Cleanup(func() { core.SetTraceCache(nil) })
+	cl, _ := startObservedServer(t, tc)
+
+	// ---- span tree of the cold job ----
+	byName, ids, spans := jobSpanTree(t, cl, smallSpec())
+	requireStages(t, "cold", byName, spans,
 		telemetry.StageJob, telemetry.StageQueue, telemetry.StageSetup,
 		telemetry.StageSweep, telemetry.StageReport,
-		telemetry.StageTraceLookup, telemetry.StageReplay,
-		telemetry.StageDecode, telemetry.StageSimulate, telemetry.StageMerge,
-	} {
-		if _, ok := byName[stage]; !ok {
-			t.Errorf("span tree missing stage %q (have %v)", stage, names(tree.Spans))
+		telemetry.StageTraceLookup, telemetry.StageTraceRecord, telemetry.StageRunVM,
+		telemetry.StageSimulate, telemetry.StageMerge)
+	for _, stage := range []string{telemetry.StageReplay, telemetry.StageDecode} {
+		if _, ok := byName[stage]; ok {
+			t.Errorf("cold job has a %s span; a cold sweep simulates while it records", stage)
+		}
+	}
+	lookup, record := byName[telemetry.StageTraceLookup], byName[telemetry.StageTraceRecord]
+	if record.Parent != lookup.ID {
+		t.Errorf("trace.record parent = %d, want trace.lookup %d", record.Parent, lookup.ID)
+	}
+	for _, stage := range []string{telemetry.StageRunVM, telemetry.StageSimulate, telemetry.StageMerge} {
+		if byName[stage].Parent != record.ID {
+			t.Errorf("%s parent = %d, want trace.record %d", stage, byName[stage].Parent, record.ID)
+		}
+	}
+	if record.Attrs["path"] != "record" || record.Attrs["workers"] != "1" {
+		t.Errorf("trace.record attrs = %v, want path=record workers=1", record.Attrs)
+	}
+	for _, stage := range []string{telemetry.StageSimulate, telemetry.StageMerge} {
+		if byName[stage].Attrs["aggregate"] != "true" {
+			t.Errorf("%s span is not marked aggregate: %v", stage, byName[stage].Attrs)
 		}
 	}
 
@@ -128,7 +168,7 @@ func TestE2ESpanTreeAndMetricsHistograms(t *testing.T) {
 			t.Errorf("%s span parent = %d, want job span %d", stage, byName[stage].Parent, root.ID)
 		}
 	}
-	for _, sp := range tree.Spans {
+	for _, sp := range spans {
 		if sp.Parent == 0 && sp.Name != telemetry.StageJob {
 			t.Errorf("span %s is an orphan root", sp.Name)
 		}
@@ -197,6 +237,26 @@ func TestE2ESpanTreeAndMetricsHistograms(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("/spans for a missing job = %d, want 404", resp.StatusCode)
 		}
+	}
+
+	// ---- span tree of the warm job: the same sweep, replayed ----
+	byName, _, spans = jobSpanTree(t, cl, smallSpec())
+	requireStages(t, "warm", byName, spans,
+		telemetry.StageJob, telemetry.StageTraceLookup,
+		telemetry.StageReplay, telemetry.StageDecode, telemetry.StageSimulate, telemetry.StageMerge)
+	for _, stage := range []string{telemetry.StageTraceRecord, telemetry.StageRunVM} {
+		if _, ok := byName[stage]; ok {
+			t.Errorf("warm job has a %s span; its trace was already recorded", stage)
+		}
+	}
+	replay := byName[telemetry.StageReplay]
+	for _, stage := range []string{telemetry.StageDecode, telemetry.StageSimulate, telemetry.StageMerge} {
+		if byName[stage].Parent != replay.ID {
+			t.Errorf("warm %s parent = %d, want replay %d", stage, byName[stage].Parent, replay.ID)
+		}
+	}
+	if st := tc.Stats(); st.Recorded != 1 || st.Hits != 1 {
+		t.Errorf("trace cache stats %+v, want one recording (cold job) and one hit (warm job)", st)
 	}
 }
 

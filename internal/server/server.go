@@ -390,16 +390,19 @@ func (s *Server) runJob(ctx context.Context, id string, queuedAt time.Time, clas
 	_, queueSpan := rec.StartSpanAt(sctx, telemetry.StageQueue, queuedAt)
 	queueSpan.EndAt(pickup)
 	_, setupSpan := rec.StartSpanAt(sctx, telemetry.StageSetup, pickup)
-	// finishStaged ends the currently open stage, runs finishJob inside
-	// the report stage, and closes the job span at the same instant.
+	// finishStaged ends the currently open stage and runs finishJob inside
+	// the report stage. finishJob closes the report and job spans at the
+	// same instant, before the job's new state becomes visible, so a
+	// client that sees the state finds the job's span tree complete.
 	finishStaged := func(open *telemetry.ActiveSpan, sweep *core.PerConfigSweep, err error) {
 		at := time.Now()
 		open.EndAt(at)
 		_, reportSpan := rec.StartSpanAt(sctx, telemetry.StageReport, at)
-		s.finishJob(id, class, sweep, err)
-		end := time.Now()
-		reportSpan.EndAt(end)
-		jobSpan.EndAt(end)
+		s.finishJob(id, class, sweep, err, func() {
+			end := time.Now()
+			reportSpan.EndAt(end)
+			jobSpan.EndAt(end)
+		})
 	}
 
 	w, err := workloads.ByName(spec.Workload)
@@ -494,14 +497,16 @@ func (s *Server) runJob(ctx context.Context, id string, queuedAt time.Time, clas
 
 // finishJob persists a job's terminal (or interrupted) state and
 // announces it; a preempted job is instead re-queued with its results so
-// far. sweep may be nil when the job never started a sweep.
-func (s *Server) finishJob(id string, class int, sweep *core.PerConfigSweep, err error) {
+// far. sweep may be nil when the job never started a sweep. endSpans
+// runs once, before any of that becomes visible.
+func (s *Server) finishJob(id string, class int, sweep *core.PerConfigSweep, err error, endSpans func()) {
 	s.mu.Lock()
 	apiCancelled := s.cancelled[id]
 	delete(s.cancelled, id)
 	s.mu.Unlock()
 
 	if err != nil && !apiCancelled && errors.Is(err, core.ErrPreempted) {
+		endSpans()
 		s.requeuePreempted(id, class, sweep)
 		return
 	}
@@ -523,6 +528,7 @@ func (s *Server) finishJob(id string, class int, sweep *core.PerConfigSweep, err
 		errText = fmt.Sprintf("%d of %d configurations failed", len(sweep.Failures), len(sweep.Results)+len(sweep.Failures))
 	}
 
+	endSpans()
 	switch state {
 	case StateDone:
 		s.metrics.JobsCompleted.Add(1)

@@ -109,9 +109,6 @@ func TestV2RoundTripParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rp.Version() != 2 {
-			t.Fatalf("Version = %d, want 2", rp.Version())
-		}
 		rp.SetDecoders(nd)
 		var out batchRecorder
 		n, err := rp.Run(context.Background(), &out)

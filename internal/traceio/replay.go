@@ -1,6 +1,6 @@
 // Trace replay: the consumer side of the record-once / replay-many
-// engine. A Replayer reads either trace format (v1 flat records, v2
-// frames) and feeds the reference stream to any mem.Tracer; a
+// engine. A Replayer reads a format-v2 trace and feeds the reference
+// stream to any mem.Tracer; a
 // batch-capable tracer (a cache, a Bank, a FusedBank) receives whole
 // chunks, reproducing exactly the chunk boundaries of the recorded run.
 // A SharedReplayer is the decode-once variant: it hands each decoded
@@ -8,7 +8,7 @@
 // ChunkSink exactly once — the feed for the fused cache bank, where one
 // decode serves every configuration of a sweep.
 //
-// For v2 traces both replayers decode frames on a pool of goroutines:
+// Both replayers decode frames on a pool of goroutines:
 // frames are self-contained, so decoding parallelizes, while delivery
 // stays strictly in frame order — the consumer observes the identical
 // reference stream (and identical chunk boundaries) the recording run
@@ -19,7 +19,6 @@ package traceio
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -43,7 +42,6 @@ type ChunkSink interface {
 // optionally SetDecoders, then Run once.
 type Replayer struct {
 	br       *bufio.Reader
-	version  int
 	decoders int
 	stamp    uint64
 	ran      bool
@@ -53,32 +51,22 @@ type Replayer struct {
 }
 
 // NewReplayer opens a trace stream, consuming and validating the magic
-// header. Both format versions are accepted; Version reports which.
+// header. Anything but a format-v2 trace is refused.
 func NewReplayer(r io.Reader) (*Replayer, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
-	head := make([]byte, len(Magic))
+	head := make([]byte, len(Magic2))
 	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, fmt.Errorf("traceio: reading header: %w", err)
 	}
-	rp := &Replayer{br: br, decoders: runtime.GOMAXPROCS(0)}
-	switch string(head) {
-	case Magic:
-		rp.version = 1
-	case Magic2:
-		rp.version = 2
-	default:
-		return nil, fmt.Errorf("traceio: not a gcsim trace file")
+	if string(head) != Magic2 {
+		return nil, fmt.Errorf("traceio: not a format-v2 gcsim trace")
 	}
-	return rp, nil
+	return &Replayer{br: br, decoders: runtime.GOMAXPROCS(0)}, nil
 }
-
-// Version returns the trace format version (1 or 2).
-func (rp *Replayer) Version() int { return rp.version }
 
 // SetDecoders bounds the frame-decoding goroutine pool (default
 // GOMAXPROCS). With n <= 1, Run decodes inline with no goroutines at
-// all. v1 traces always replay inline (the flat record stream has no
-// frame boundaries to parallelize over).
+// all.
 func (rp *Replayer) SetDecoders(n int) {
 	if n < 1 {
 		n = 1
@@ -109,16 +97,8 @@ type emitFunc func(refs []mem.Ref, insnsAt uint64)
 
 // Run replays the whole trace into tracer, returning the number of
 // references delivered. The context cancels the replay at the next frame
-// boundary (v1: every mem.ChunkRefs records); the returned error then
-// matches ctx.Err() under errors.Is.
+// boundary; the returned error then matches ctx.Err() under errors.Is.
 func (rp *Replayer) Run(ctx context.Context, tracer mem.Tracer) (uint64, error) {
-	if rp.version == 1 {
-		if rp.ran {
-			return 0, fmt.Errorf("traceio: Replayer is single-shot")
-		}
-		rp.ran = true
-		return rp.runV1(ctx, tracer)
-	}
 	bt, _ := tracer.(mem.BatchTracer)
 	return rp.run(ctx, func(refs []mem.Ref, insnsAt uint64) {
 		rp.stamp = insnsAt
@@ -126,7 +106,7 @@ func (rp *Replayer) Run(ctx context.Context, tracer mem.Tracer) (uint64, error) 
 	})
 }
 
-// run replays a v2 trace through emit, inline or via the decoder pool.
+// run replays the trace through emit, inline or via the decoder pool.
 func (rp *Replayer) run(ctx context.Context, emit emitFunc) (uint64, error) {
 	if rp.ran {
 		return 0, fmt.Errorf("traceio: Replayer is single-shot")
@@ -153,31 +133,7 @@ func interrupted(ctx context.Context, count uint64) error {
 	return fmt.Errorf("traceio: replay interrupted after %d refs: %w", count, ctx.Err())
 }
 
-// runV1 replays the flat v1 record stream.
-func (rp *Replayer) runV1(ctx context.Context, tracer mem.Tracer) (uint64, error) {
-	var addr, count uint64
-	for {
-		if count%mem.ChunkRefs == 0 && ctx.Err() != nil {
-			return count, interrupted(ctx, count)
-		}
-		flags, err := rp.br.ReadByte()
-		if err == io.EOF {
-			return count, nil
-		}
-		if err != nil {
-			return count, fmt.Errorf("traceio: %w", err)
-		}
-		delta, err := binary.ReadVarint(rp.br)
-		if err != nil {
-			return count, fmt.Errorf("traceio: truncated record %d: %w", count, err)
-		}
-		addr = uint64(int64(addr) + delta)
-		tracer.Ref(addr, flags&flagWrite != 0, flags&flagCollector != 0)
-		count++
-	}
-}
-
-// runSerial replays a v2 trace inline: one goroutine reads, decodes, and
+// runSerial replays the trace inline: one goroutine reads, decodes, and
 // delivers, reusing a single payload buffer and chunk.
 func (rp *Replayer) runSerial(ctx context.Context, emit emitFunc) (uint64, error) {
 	var (
@@ -236,7 +192,7 @@ type decodeResult struct {
 // clean trailer) after it has verified the trailer's totals itself.
 type readerOutcome struct{ err error }
 
-// runParallel replays a v2 trace with a decoder pool. The reader
+// runParallel replays the trace with a decoder pool. The reader
 // goroutine streams frames (verifying the running CRC and trailer), the
 // pool decodes them concurrently, and the calling goroutine delivers
 // decoded chunks strictly in frame order.
@@ -343,24 +299,18 @@ func (rp *Replayer) runParallel(ctx context.Context, emit emitFunc) (uint64, err
 	return count, derr
 }
 
-// SharedReplayer replays one v2 trace into a ChunkSink, decoding each
-// frame exactly once no matter how many cache configurations the sink
-// fans the chunk out to. It refuses v1 traces — they carry no frame
-// stamps, so a shared replay could not reproduce snapshot clocks; a
-// caller that must read v1 uses a Replayer. Like Replayer, it is
-// single-shot.
+// SharedReplayer replays one trace into a ChunkSink, decoding each frame
+// exactly once no matter how many cache configurations the sink fans the
+// chunk out to. Like Replayer, it is single-shot.
 type SharedReplayer struct {
 	rp *Replayer
 }
 
-// NewSharedReplayer opens a v2 trace stream for decode-once replay.
+// NewSharedReplayer opens a trace stream for decode-once replay.
 func NewSharedReplayer(r io.Reader) (*SharedReplayer, error) {
 	rp, err := NewReplayer(r)
 	if err != nil {
 		return nil, err
-	}
-	if rp.version != 2 {
-		return nil, fmt.Errorf("traceio: shared replay requires a v2 trace (got format v%d)", rp.version)
 	}
 	return &SharedReplayer{rp: rp}, nil
 }
@@ -385,9 +335,9 @@ func (s *SharedReplayer) Frames() uint64 { return s.rp.Frames() }
 func (s *SharedReplayer) DecodeSeconds() float64 { return s.rp.DecodeSeconds() }
 
 // Replay streams a trace from r into tracer, returning the number of
-// references replayed. Both format versions are accepted. The context
-// cancels the replay at the next frame boundary. Replay decodes inline;
-// use a Replayer directly for pooled decoding of v2 traces.
+// references replayed. The context cancels the replay at the next frame
+// boundary. Replay decodes inline; use a Replayer directly for pooled
+// decoding.
 func Replay(ctx context.Context, r io.Reader, tracer mem.Tracer) (uint64, error) {
 	rp, err := NewReplayer(r)
 	if err != nil {

@@ -93,21 +93,11 @@ func TestSharedReplayerMatchesReplayer(t *testing.T) {
 	}
 }
 
-// TestSharedReplayerRejectsV1 pins the v2-only rule: v1 traces have no
-// frame stamps and must be refused, not silently degraded.
+// TestSharedReplayerRejectsV1 pins the v2-only rule: a format-v1 trace
+// (its magic, then one flat record) is refused, not silently degraded.
 func TestSharedReplayerRejectsV1(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range makeRefs(100) {
-		w.Ref(r.Addr(), r.Write(), r.Collector())
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewSharedReplayer(bytes.NewReader(buf.Bytes())); err == nil {
+	v1 := []byte("GCSIMTRACE1\n\x00\x80\x40")
+	if _, err := NewSharedReplayer(bytes.NewReader(v1)); err == nil {
 		t.Fatal("NewSharedReplayer accepted a v1 trace")
 	}
 	if _, err := NewSharedReplayer(bytes.NewReader([]byte("junk"))); err == nil {

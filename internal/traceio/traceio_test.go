@@ -26,7 +26,7 @@ func (r *recorder) Ref(addr uint64, write, collector bool) {
 
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	w, err := NewBatchWriter(&buf, WriterOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestRoundTrip(t *testing.T) {
 	for _, r := range in {
 		w.Ref(r.addr, r.write, r.collector)
 	}
-	if err := w.Flush(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if w.Count() != uint64(len(in)) {
@@ -61,32 +61,37 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// A sequential allocation sweep is one-word steps on the heap chain: one
+// payload byte per reference, plus a frame header per chunk.
 func TestSequentialSweepCompresses(t *testing.T) {
 	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
+	w, err := NewBatchWriter(&buf, WriterOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := uint64(0); i < 10000; i++ {
 		w.Ref(mem.DynBase+i, true, false)
 	}
-	if err := w.Flush(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	perRef := float64(buf.Len()-len(Magic)) / 10000
-	if perRef > 2.5 {
-		t.Errorf("sequential trace uses %.1f bytes/ref, want ~2", perRef)
+	perRef := float64(buf.Len()-len(Magic2)) / 10000
+	if perRef > 1.1 {
+		t.Errorf("sequential trace uses %.2f bytes/ref, want ~1", perRef)
 	}
 }
 
 func TestRejectsGarbage(t *testing.T) {
 	var out recorder
-	if _, err := Replay(context.Background(), strings.NewReader("not a trace"), &out); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := Replay(context.Background(), strings.NewReader(""), &out); err == nil {
-		t.Error("empty input accepted")
-	}
-	// Truncated record after a valid header.
-	if _, err := Replay(context.Background(), strings.NewReader(Magic+"\x01"), &out); err == nil {
-		t.Error("truncated record accepted")
+	for _, tc := range []struct{ name, data string }{
+		{"garbage", "not a trace"},
+		{"empty input", ""},
+		{"truncated frame after a valid header", Magic2 + "\x01"},
+		{"format-v1 trace", "GCSIMTRACE1\n\x00\x80\x40"},
+	} {
+		if _, err := Replay(context.Background(), strings.NewReader(tc.data), &out); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
@@ -94,14 +99,17 @@ func TestRejectsGarbage(t *testing.T) {
 func TestPropertyRoundTrip(t *testing.T) {
 	f := func(addrs []uint64, bits []bool) bool {
 		var buf bytes.Buffer
-		w, _ := NewWriter(&buf)
+		w, err := NewBatchWriter(&buf, WriterOpts{})
+		if err != nil {
+			return false
+		}
 		var in []refRec
 		for i, a := range addrs {
 			r := refRec{a & (1<<50 - 1), i < len(bits) && bits[i], i%3 == 0}
 			in = append(in, r)
 			w.Ref(r.addr, r.write, r.collector)
 		}
-		if w.Flush() != nil {
+		if w.Close() != nil {
 			return false
 		}
 		var out recorder
@@ -121,8 +129,10 @@ func TestPropertyRoundTrip(t *testing.T) {
 	}
 }
 
-// End-to-end: capturing a VM run and replaying it into a cache must give
-// exactly the same statistics as simulating live.
+// End-to-end through the per-reference path: a machine whose tracer is a
+// plain mem.Tracer (the BatchWriter behind it stages references into
+// frames itself) records a trace that replays to exactly the statistics
+// of simulating live.
 func TestCaptureAndReplayMatchesLive(t *testing.T) {
 	prog := `
 		(define (build n) (if (= n 0) '() (cons n (build (- n 1)))))
@@ -136,13 +146,16 @@ func TestCaptureAndReplayMatchesLive(t *testing.T) {
 	m1.MaxInsns = 500_000_000
 	m1.MustEval(prog)
 
-	// Captured trace.
+	// Captured trace, one Ref call per reference.
 	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	m2 := vm.NewLoaded(w, gc.NewCheney(64<<10))
+	w, err := NewBatchWriter(&buf, WriterOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2 := vm.NewLoaded(struct{ mem.Tracer }{w}, gc.NewCheney(64<<10))
 	m2.MaxInsns = 500_000_000
 	m2.MustEval(prog)
-	if err := w.Flush(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 
